@@ -32,8 +32,8 @@ target_compile_definitions(bench_sched_micro PRIVATE
   SWP_SOURCE_DIR="${CMAKE_SOURCE_DIR}"
   SWP_BINARY_DIR="${CMAKE_BINARY_DIR}")
 
-# The caching/batch-compile gate: warm-hit latency, batched throughput,
-# and cached-vs-uncached bit-identity (see bench_cache.cpp).
+# The compile-service reuse gate: warm-hit latency, batched throughput,
+# and memoized-vs-serial bit-identity (see bench_cache.cpp).
 swp_add_bench(bench_cache)
 target_link_libraries(bench_cache PRIVATE swp_service swp_difftest)
 target_compile_definitions(bench_cache PRIVATE

@@ -1,21 +1,21 @@
-//===- bench_cache.cpp - schedule cache / compile service gate ------------------===//
+//===- bench_cache.cpp - compile service reuse gate -----------------------------===//
 //
 // Part of warp-swp.
 //
-// The caching gate: measures the content-addressed schedule cache and the
-// batched compile service against uncached serial compilation, and proves
-// the cache can only change compile time, never code:
+// The reuse gate: measures the batched compile service (whole-result memo
+// plus single-flight dedup) against serial compileProgram calls, and
+// proves reuse can only change compile time, never code:
 //
 //  * warm-hit latency: a repeat request through a warm CompileService
 //    must run >= 10x faster than the cold pass that populated it;
 //  * batched throughput: a duplicate-heavy corpus through compileBatch
-//    (single-flight dedup + memo + shared schedule cache) must beat
-//    uncached one-at-a-time compiles by >= 3x;
-//  * bit-identity: for every workload (Livermore + Table 4-1 user
-//    programs), cached, memoized, and disk-tier-served compiles must
-//    match the uncached compilation byte for byte, and the full
-//    differential harness (interpreter vs simulator, pipelined vs not,
-//    ParanoidVerify on) must pass with the cache enabled.
+//    must beat one-at-a-time compiles by >= 3x;
+//  * bit-identity: memoized and batched compiles must match the serial
+//    compileProgram code byte for byte, and the full differential harness
+//    (interpreter vs simulator, pipelined vs not, ParanoidVerify on) must
+//    pass on every workload (Livermore + Table 4-1 user programs);
+//  * multi-target: one mixed-target Session batch matches serial
+//    per-target compiles, with memo keys separated per machine.
 //
 // `--json [out [baseline]]` writes the gate report (default
 // BENCH_cache.json, baseline bench/baselines/BENCH_cache_seed.json);
@@ -26,9 +26,7 @@
 #include "BenchSupport.h"
 
 #include "swp/API/Session.h"
-#include "swp/Metrics/Metrics.h"
 #include "swp/Service/CompileService.h"
-#include "swp/Service/ScheduleCache.h"
 #include "swp/Verify/Differential.h"
 #include "swp/Workloads/Workloads.h"
 
@@ -85,12 +83,7 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
   const std::vector<WorkloadSpec> &Kernels = livermoreKernels();
   CompilerOptions Opts; // defaults: pipelining on, no verify overhead
 
-  // Telemetry rides along: the whole gate runs with recording enabled,
-  // and the final snapshot must be self-consistent (every cache lookup
-  // resolved as exactly one hit or miss; checked below).
-  metrics::setEnabled(true);
-
-  // Uncached reference: every kernel compiled directly, and the code each
+  // Serial reference: every kernel compiled directly, and the code each
   // one must reproduce byte for byte below. Job keys are precomputed here
   // — a service client knows its content hash — so warm requests measure
   // the pure lookup path.
@@ -117,13 +110,9 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
   constexpr int Reps = 5;
   double ColdMs = 0.0, WarmMs = 0.0;
   bool BitIdentical = true;
-  CacheStats LastCache;
   ServiceStats LastService;
   for (int Rep = 0; Rep != Reps; ++Rep) {
-    ScheduleCache Cache;
-    CompileService::Config SC;
-    SC.Cache = &Cache;
-    CompileService Service(SC);
+    CompileService Service;
     std::vector<CompileResult> Cold(Kernels.size()), Warm(Kernels.size());
     double C = timeMs([&] {
       for (size_t I = 0; I != Kernels.size(); ++I) {
@@ -148,14 +137,13 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
       ColdMs = C;
     if (Rep == 0 || W < WarmMs)
       WarmMs = W;
-    LastCache = Cache.stats();
     LastService = Service.stats();
   }
   double WarmSpeedup = WarmMs > 0.0 ? ColdMs / WarmMs : 0.0;
   bool WarmOk = WarmSpeedup >= 10.0;
 
   //===--------------------------------------------------------------------===//
-  // Gate 2: batched throughput >= 3x uncached serial on a duplicate-heavy
+  // Gate 2: batched throughput >= 3x serial compiles on a duplicate-heavy
   // corpus (the service-traffic shape: many clients, few distinct loops).
   //===--------------------------------------------------------------------===//
 
@@ -175,10 +163,7 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
           BitIdentical = false;
       }
     });
-    ScheduleCache Cache;
-    CompileService::Config SC;
-    SC.Cache = &Cache;
-    CompileService Service(SC);
+    CompileService Service;
     std::vector<CompileJob> Jobs;
     Jobs.reserve(Corpus.size());
     for (size_t I = 0; I != Corpus.size(); ++I) {
@@ -201,68 +186,25 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
   bool BatchOk = BatchSpeedup >= 3.0;
 
   //===--------------------------------------------------------------------===//
-  // Gate 3: the disk tier serves bit-identical code, and the differential
-  // harness passes with caching enabled on every workload.
+  // Gate 3: the differential harness passes on every workload.
   //===--------------------------------------------------------------------===//
 
-  uint64_t DiskHits = 0;
-  {
-    // The disk tier lives in the build tree, not the source checkout.
-#ifdef SWP_BINARY_DIR
-    const std::string Dir = std::string(SWP_BINARY_DIR) + "/bench_cache.dir";
-#else
-    const std::string Dir = "bench_cache.dir";
-#endif
-    {
-      ScheduleCacheConfig CC;
-      CC.Dir = Dir;
-      ScheduleCache Cache(CC);
-      Opts.Cache = &Cache;
-      for (const WorkloadSpec &Spec : Kernels) {
-        BuiltWorkload W = Spec.Make();
-        compileProgram(*W.Prog, MD, Opts); // populate the disk tier
-      }
-    }
-    ScheduleCacheConfig CC;
-    CC.Dir = Dir;
-    ScheduleCache Cache(CC); // fresh memory, same directory
-    Opts.Cache = &Cache;
-    for (size_t I = 0; I != Kernels.size(); ++I) {
-      BuiltWorkload W = Kernels[I].Make();
-      CompileResult R = compileProgram(*W.Prog, MD, Opts);
-      BitIdentical &= R.Ok && vliwProgramToString(R.Code, MD) == RefCode[I];
-    }
-    DiskHits = Cache.stats().DiskHits;
-    Opts.Cache = nullptr;
-  }
-  bool DiskOk = DiskHits > 0;
-
   bool DifferentialOk = true;
-  {
-    ScheduleCache Cache;
-    CompilerOptions Base;
-    Base.Cache = &Cache;
-    for (const std::vector<WorkloadSpec> *Suite :
-         {&livermoreKernels(), &userPrograms()})
-      for (const WorkloadSpec &Spec : *Suite) {
-        DiffOutcome O = runDifferential(Spec, MD, Base);
-        // Run each workload twice so the second pass is served from the
-        // cache populated by the first — the cached path is what the
-        // interpreter-vs-simulator check must validate.
-        DiffOutcome O2 = runDifferential(Spec, MD, Base);
-        if (!O.Ok || !O2.Ok) {
-          DifferentialOk = false;
-          std::fprintf(stderr, "differential failed: %s: %s\n",
-                       Spec.Name.c_str(),
-                       (!O.Ok ? O.Error : O2.Error).c_str());
-        }
+  for (const std::vector<WorkloadSpec> *Suite :
+       {&livermoreKernels(), &userPrograms()})
+    for (const WorkloadSpec &Spec : *Suite) {
+      DiffOutcome O = runDifferential(Spec, MD, Opts);
+      if (!O.Ok) {
+        DifferentialOk = false;
+        std::fprintf(stderr, "differential failed: %s: %s\n",
+                     Spec.Name.c_str(), O.Error.c_str());
       }
-  }
+    }
 
   //===--------------------------------------------------------------------===//
   // Gate 4: one Session::submitBatch mixing targets — the built-in cell
   // and a machine loaded from a JSON target file — must reproduce serial
-  // single-target compileProgram byte for byte per target, with cache
+  // single-target compileProgram byte for byte per target, with memo
   // keys separated per target (every (kernel, target) pair compiles
   // exactly once; nothing is served across machines).
   //===--------------------------------------------------------------------===//
@@ -297,10 +239,8 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
         }
       }
 
-      ScheduleCache Cache;
       SessionConfig SC;
       SC.Registry = &Reg;
-      SC.Cache = &Cache;
       SC.DefaultOpts = Opts;
       Session Sess(SC);
       std::vector<CompileRequest> Reqs;
@@ -323,8 +263,8 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
         MultiTargetOk &= R.Ok;
         MultiTargetOk &= vliwProgramToString(R.Result.Code, TMD) == Ref[J];
       }
-      // Key separation, both layers: every (kernel, target) pair ran its
-      // own compile (no bogus cross-target memo hit)...
+      // Key separation: every (kernel, target) pair ran its own compile
+      // (no bogus cross-target memo hit)...
       ServiceStats SS = Sess.stats();
       MultiTargetOk &= SS.Compiles == Ref.size();
       // ...and the machines genuinely schedule differently somewhere, so
@@ -337,97 +277,9 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
   if (!MultiTargetOk)
     std::fprintf(stderr, "multi-target session gate failed\n");
 
-  //===--------------------------------------------------------------------===//
-  // Gate 5: the AdaptivePolicy controller must earn its keep. Same
-  // undersized starting budget, same scripted traffic (the kernel suite
-  // cycled round-robin — a classic LRU-thrash shape when the working set
-  // overflows the budget): the adaptive cache, allowed to grow toward a
-  // ceiling on a scripted clock, must reach a warm hit rate >= the static
-  // budget's, and its code must stay bit-identical to the uncached
-  // reference.
-  //===--------------------------------------------------------------------===//
-
-  double StaticHitRate = 0.0, AdaptiveHitRate = 0.0;
-  uint64_t Adaptations = 0;
-  bool AdaptiveOk = true;
-  {
-    constexpr int Rounds = 8;
-    constexpr size_t SmallBudget = 4; // well under the kernel count
-    auto runRounds = [&](ScheduleCache &Cache, uint64_t *ClockMs) {
-      CompilerOptions CO = Opts;
-      CO.Cache = &Cache;
-      for (int Round = 0; Round != Rounds; ++Round) {
-        for (size_t I = 0; I != Kernels.size(); ++I) {
-          BuiltWorkload W = Kernels[I].Make();
-          CompileResult R = compileProgram(*W.Prog, MD, CO);
-          AdaptiveOk &= R.Ok;
-          AdaptiveOk &= vliwProgramToString(R.Code, MD) == RefCode[I];
-        }
-        if (ClockMs)
-          *ClockMs += 10; // One controller window per round.
-      }
-    };
-
-    ScheduleCacheConfig StaticCC;
-    StaticCC.MaxEntries = SmallBudget;
-    ScheduleCache StaticCache(StaticCC);
-    runRounds(StaticCache, nullptr);
-    CacheStats SS = StaticCache.stats();
-    StaticHitRate = SS.Hits + SS.Misses > 0
-                        ? double(SS.Hits) / double(SS.Hits + SS.Misses)
-                        : 0.0;
-
-    uint64_t ClockMs = 0;
-    ScheduleCacheConfig AdCC;
-    AdCC.MaxEntries = SmallBudget;
-    AdCC.Adaptive.Enabled = true;
-    AdCC.Adaptive.ClockMs = [&ClockMs] { return ClockMs; };
-    AdCC.Adaptive.IntervalMs = 10;
-    AdCC.Adaptive.MinSamples = 4;
-    AdCC.Adaptive.FloorEntries = SmallBudget;
-    AdCC.Adaptive.CeilingEntries = 256;
-    AdCC.Adaptive.StepPercent = 100; // Double per window under pressure.
-    ScheduleCache AdCache(AdCC);
-    runRounds(AdCache, &ClockMs);
-    CacheStats AS = AdCache.stats();
-    AdaptiveHitRate = AS.Hits + AS.Misses > 0
-                          ? double(AS.Hits) / double(AS.Hits + AS.Misses)
-                          : 0.0;
-    Adaptations = AdCache.adaptations();
-
-    // The controller may later hand memory back once the working set is
-    // resident (hits stop generating evictions), so the gate is on what
-    // the user observes — hit rate — not on the transient budget level.
-    AdaptiveOk &= AdaptiveHitRate >= StaticHitRate;
-    AdaptiveOk &= AdaptiveHitRate >= 0.5; // warm rounds genuinely hit
-    AdaptiveOk &= Adaptations > 0;
-  }
-  if (!AdaptiveOk)
-    std::fprintf(stderr,
-                 "adaptive gate failed: warm hit rate %.3f vs static %.3f "
-                 "(%llu adaptations)\n",
-                 AdaptiveHitRate, StaticHitRate,
-                 static_cast<unsigned long long>(Adaptations));
-
-  // Metrics-consistency gate: the global snapshot's cache counters must
-  // balance — hits + misses == lookups — after everything above.
-  metrics::MetricsSnapshot Snap = metrics::MetricsRegistry::global().snapshot();
-  uint64_t MLookups = Snap.counterTotal("swp_cache_lookups_total");
-  uint64_t MHits = Snap.counterTotal("swp_cache_hits_total");
-  uint64_t MMisses = Snap.counterTotal("swp_cache_misses_total");
-  bool MetricsOk = !metrics::compiledIn() ||
-                   (MLookups > 0 && MHits + MMisses == MLookups);
-  if (!MetricsOk)
-    std::fprintf(stderr,
-                 "metrics inconsistent: hits %llu + misses %llu != "
-                 "lookups %llu\n",
-                 static_cast<unsigned long long>(MHits),
-                 static_cast<unsigned long long>(MMisses),
-                 static_cast<unsigned long long>(MLookups));
-
   double Baseline = baselineColdMs(BaselinePath);
-  bool AllOk = WarmOk && BatchOk && BitIdentical && DiskOk &&
-               DifferentialOk && MultiTargetOk && AdaptiveOk && MetricsOk;
+  bool AllOk =
+      WarmOk && BatchOk && BitIdentical && DifferentialOk && MultiTargetOk;
   if (!WarmOk)
     std::fprintf(stderr, "warm gate failed: %.2fx < 10x (cold %.3fms, warm %.3fms)\n",
                  WarmSpeedup, ColdMs, WarmMs);
@@ -435,9 +287,8 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
     std::fprintf(stderr, "batch gate failed: %.2fx < 3x (serial %.3fms, batch %.3fms)\n",
                  BatchSpeedup, SerialMs, BatchMs);
   if (!BitIdentical)
-    std::fprintf(stderr, "cached code is NOT bit-identical to uncached\n");
-  if (!DiskOk)
-    std::fprintf(stderr, "disk tier served no hits\n");
+    std::fprintf(stderr,
+                 "service code is NOT bit-identical to serial compiles\n");
 
   char Buf[3072];
   std::snprintf(
@@ -457,16 +308,8 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
       "  \"batch_speedup\": %.2f,\n"
       "  \"batch_gate_ok\": %s,\n"
       "  \"bit_identical\": %s,\n"
-      "  \"disk_hits\": %llu,\n"
       "  \"differential_ok\": %s,\n"
       "  \"multi_target_ok\": %s,\n"
-      "  \"static_hit_rate\": %.4f,\n"
-      "  \"adaptive_hit_rate\": %.4f,\n"
-      "  \"adaptations\": %llu,\n"
-      "  \"adaptive_gate_ok\": %s,\n"
-      "  \"metrics_lookups\": %llu,\n"
-      "  \"metrics_consistent_ok\": %s,\n"
-      "  \"cache\": %s,\n"
       "  \"service\": %s,\n"
       "  \"baseline_cold_ms\": %.4f,\n"
       "  \"speedup_vs_baseline\": %.2f\n"
@@ -474,14 +317,8 @@ int runGate(const std::string &OutPath, const std::string &BaselinePath) {
       Kernels.size(), Corpus.size(), Reps, ColdMs, WarmMs, WarmSpeedup,
       WarmOk ? "true" : "false", SerialMs, BatchMs, BatchSpeedup,
       BatchOk ? "true" : "false", BitIdentical ? "true" : "false",
-      static_cast<unsigned long long>(DiskHits),
       DifferentialOk ? "true" : "false", MultiTargetOk ? "true" : "false",
-      StaticHitRate, AdaptiveHitRate,
-      static_cast<unsigned long long>(Adaptations),
-      AdaptiveOk ? "true" : "false",
-      static_cast<unsigned long long>(MLookups),
-      MetricsOk ? "true" : "false",
-      LastCache.toJson().c_str(), LastService.toJson().c_str(), Baseline,
+      LastService.toJson().c_str(), Baseline,
       Baseline > 0 ? Baseline / ColdMs : 0.0);
   Out << Buf;
   std::printf("%s", Buf);

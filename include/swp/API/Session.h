@@ -12,17 +12,17 @@
 /// versioned — every response envelope carries "api_version" (see
 /// Version.h for the stability policy) — and everything underneath is
 /// the existing compiler stack: requests flow through a CompileService
-/// (whole-result memo, single-flight dedup, shared ScheduleCache) into
-/// compileProgram, so a session's results are bit-identical to bare
-/// compileProgram calls (tests enforce the equivalence).
+/// (whole-result memo, single-flight dedup) into compileProgram, so a
+/// session's results are bit-identical to bare compileProgram calls
+/// (tests enforce the equivalence).
 ///
 /// What the session adds over the free function:
 ///
 ///  - named targets: requests say "warp-cell" or a name loaded from a
 ///    JSON machine file instead of hauling MachineDescriptions around,
-///    and one batch may mix targets — per-target cache keys and
-///    fingerprints stay separate because fingerprintMachine covers the
-///    full resource / latency / register tables;
+///    and one batch may mix targets — per-target memo keys stay separate
+///    because fingerprintMachine covers the full resource / latency /
+///    register tables;
 ///  - async submission with priorities: submit() queues work on the
 ///    shared ThreadPool and returns immediately; a session-private
 ///    priority queue (higher Priority first, FIFO among equals) decides
@@ -31,8 +31,8 @@
 ///    BudgetTracker token trips, the scheduler backs out at its next
 ///    probe, and the response reports Cancelled. Per-request budget
 ///    ceilings ride the same tracker;
-///  - per-session defaults: options, cache, and target are configured
-///    once (SessionConfig) and every request inherits them unless it
+///  - per-session defaults: options and target are configured once
+///    (SessionConfig) and every request inherits them unless it
 ///    overrides;
 ///  - identity: responses and their embedded CompileReports carry
 ///    (session_id, request_id), and the session's trace spans are
@@ -194,12 +194,6 @@ struct SessionConfig {
   /// Target namespace (not owned). Null = TargetRegistry::global().
   TargetRegistry *Registry = nullptr;
 
-  /// Shared loop-schedule cache injected into every request whose
-  /// options carry none (not owned; null = no cache). Ignored — and
-  /// rejected by validate() — when Service is injected, which brings
-  /// its own cache wiring.
-  ScheduleCache *Cache = nullptr;
-
   /// Pool async requests run on (not owned). Null = ThreadPool::global().
   ThreadPool *Pool = nullptr;
 
@@ -230,9 +224,9 @@ struct SessionConfig {
   int MetricsPort = -1;
 
   /// First incoherence in this config ("" when coherent): an injected
-  /// Service combined with Cache or MemoizeResults = false (both
-  /// configure the private service the injection replaces — they would
-  /// be silently ignored), or DefaultOpts that fail
+  /// Service combined with MemoizeResults = false (it configures the
+  /// private service the injection replaces — it would be silently
+  /// ignored), or DefaultOpts that fail
   /// CompilerOptions::validate(). Session's constructor runs this;
   /// a bad config fails every request with the message rather than
   /// aborting (constructors can't return errors).
@@ -241,7 +235,7 @@ struct SessionConfig {
 
 /// The façade. One Session per client/tenant/tool invocation; sessions
 /// are independent (ids, queues, defaults) but may share a registry,
-/// cache, pool, and service through SessionConfig.
+/// pool, and service through SessionConfig.
 class Session {
 public:
   explicit Session(SessionConfig Cfg = {});
@@ -277,8 +271,7 @@ public:
   /// \p Opts (null = session defaults), on the calling thread. Bypasses
   /// the whole-result memo — the caller wants *this* instance mutated
   /// (to simulate it), which a memoized copy cannot provide — but still
-  /// uses the session's ScheduleCache and stamps ids. \p Diags receives
-  /// compile errors when non-null.
+  /// stamps ids. \p Diags receives compile errors when non-null.
   CompileResponse compileNow(Program &P, const std::string &Target = "",
                              const CompilerOptions *Opts = nullptr,
                              DiagnosticEngine *Diags = nullptr);

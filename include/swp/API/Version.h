@@ -32,12 +32,12 @@ namespace swp {
 namespace api {
 
 /// Incompatible-change counter (see the stability policy above).
-constexpr unsigned VersionMajor = 1;
+constexpr unsigned VersionMajor = 2;
 /// Backward-compatible-addition counter.
 constexpr unsigned VersionMinor = 0;
 
 /// "MAJOR.MINOR" as carried by every response envelope.
-constexpr const char *versionString() { return "1.0"; }
+constexpr const char *versionString() { return "2.0"; }
 
 } // namespace api
 } // namespace swp

@@ -39,7 +39,6 @@
 namespace swp {
 
 class BudgetTracker;
-class ScheduleCache;
 
 /// Machine-checkable reasons CompilerOptions::validate() can reject an
 /// option set. Each kind names one contradictory (or meaningless) combo;
@@ -53,7 +52,6 @@ enum class OptionErrorKind : uint8_t {
   BadLadderRung,         ///< MinLadderRung > 2.
   ChaosCompiledOut,      ///< ChaosSeed set but faults compiled out.
   ExplainWithoutPipelining, ///< Explain set but EnablePipelining off.
-  CacheWithoutPipelining,   ///< Cache set but EnablePipelining off.
   DuplicateBudget,       ///< Both Tracker and Budget ceilings set.
 };
 
@@ -115,12 +113,6 @@ struct CompilerOptions {
   /// schedule, 2 = sequential only. Nonzero values exist to prove every
   /// rung end-to-end (bit-identical to the interpreter).
   unsigned MinLadderRung = 0;
-  /// Content-addressed schedule cache shared across compilations (see
-  /// swp/Service/ScheduleCache.h). Not owned; null disables caching. The
-  /// cache only changes compile time, never emitted code: hits are
-  /// re-verified against the current graph, and chaos-armed or
-  /// budget-exhausted results are never inserted.
-  ScheduleCache *Cache = nullptr;
   /// External budget/cancellation tracker (not owned; null = none). The
   /// async session API arms one per request so a caller can cancel a
   /// compile mid-flight: the scheduler polls the tracker's token exactly
@@ -139,10 +131,10 @@ struct CompilerOptions {
   /// degenerate knobs (MaxUnroll == 0, a threshold outside (0, 1]),
   /// incompatible strategies (SearchThreads parallelism under the
   /// binary-search strategy, whose probes are sequentially dependent),
-  /// silently-ignored combos the async API exposes (Explain or a
-  /// schedule cache with pipelining disabled, an external Tracker
-  /// alongside inline Budget ceilings), and knobs whose support was
-  /// compiled out (ChaosSeed without SWP_FAULTS_ENABLED).
+  /// silently-ignored combos the async API exposes (Explain with
+  /// pipelining disabled, an external Tracker alongside inline Budget
+  /// ceilings), and knobs whose support was compiled out (ChaosSeed
+  /// without SWP_FAULTS_ENABLED).
   std::vector<OptionDiag> validate() const;
 
   /// Convenience wrapper over validate(): the first finding's message,

@@ -9,7 +9,7 @@
 /// counters, gauges, and fixed-bucket (log2) histograms, complementing
 /// the per-compile trace layer (swp/Support/Trace.h) with the numbers a
 /// fleet operator asks of a long-running compile service — request
-/// latency percentiles, cache hit ratios, queue depth, and the
+/// latency percentiles, memo hit ratios, queue depth, and the
 /// II-vs-MII optimality gap.
 ///
 /// Recording goes through per-thread shards: each thread lazily attaches
@@ -215,8 +215,8 @@ public:
   /// Cells per shard; registrations beyond this are dropped (handles come
   /// back inert and droppedRegistrations() counts them). Sized for the
   /// per-target series fan-out: each target a fleet compiles for adds
-  /// labeled copies of the headline latency histograms (33 cells each),
-  /// outcome counters, and cache counters.
+  /// labeled copies of the headline latency histograms (33 cells each)
+  /// and outcome counters.
   static constexpr size_t SlotCapacity = 4096;
 
   MetricsRegistry();

@@ -97,10 +97,6 @@ struct SchedulerStats {
   uint64_t FailSlotAbort = 0;    ///< Attempts lost to the s-slot abort.
   uint64_t FailStageLimit = 0;   ///< Attempts lost to MaxStages.
   uint64_t FailBudget = 0;       ///< Attempts backed out by the budget.
-  uint64_t CacheHits = 0;         ///< Schedule served from the cache.
-  uint64_t CacheMisses = 0;       ///< Cache consulted, search ran cold.
-  uint64_t CacheEvictions = 0;    ///< Entries this run's insert displaced.
-  uint64_t CacheVerifyRejects = 0;///< Cached entries rejected by re-check.
   double ClosureBuildSeconds = 0; ///< Symbolic closure preprocessing.
   double Phase1Seconds = 0;       ///< Cyclic-component scheduling.
   double Phase2Seconds = 0;       ///< Condensation list scheduling.
@@ -120,10 +116,6 @@ struct SchedulerStats {
     FailSlotAbort += O.FailSlotAbort;
     FailStageLimit += O.FailStageLimit;
     FailBudget += O.FailBudget;
-    CacheHits += O.CacheHits;
-    CacheMisses += O.CacheMisses;
-    CacheEvictions += O.CacheEvictions;
-    CacheVerifyRejects += O.CacheVerifyRejects;
     ClosureBuildSeconds += O.ClosureBuildSeconds;
     Phase1Seconds += O.Phase1Seconds;
     Phase2Seconds += O.Phase2Seconds;

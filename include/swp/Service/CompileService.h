@@ -10,16 +10,13 @@
 /// fingerprint, and shards independent compiles across a thread pool
 /// (the process-wide ThreadPool::global() unless one is injected).
 ///
-/// Three layers of reuse, all content-addressed:
-///  - an in-memory memo of finished CompileResults keyed by
-///    (program, machine, options) fingerprint — a warm repeat request
-///    costs a fingerprint walk plus a copy, no compilation at all;
+/// Two layers of reuse, both keyed by the (program, machine, options)
+/// fingerprint of jobKey:
+///  - an in-memory memo of finished CompileResults — a warm repeat
+///    request costs a fingerprint walk plus a copy, no compilation at all;
 ///  - single-flight dedup of in-flight work: concurrent requests for the
 ///    same fingerprint wait on the one running compile and copy its
-///    result instead of racing;
-///  - an optional shared ScheduleCache (see ScheduleCache.h) threaded
-///    into every compile's options, so even distinct programs reuse
-///    schedules of isomorphic loops.
+///    result instead of racing.
 ///
 /// Determinism contract: compileProgram is a pure function of (program,
 /// machine, options), so memoized, coalesced, and batched results are
@@ -49,7 +46,6 @@
 
 namespace swp {
 
-class ScheduleCache;
 class ThreadPool;
 
 /// One compile request. The factory is invoked once per actual compile
@@ -93,9 +89,6 @@ public:
     /// Pool for compileBatch; null = ThreadPool::global(). Injected pools
     /// let tests pin widths.
     ThreadPool *Pool = nullptr;
-    /// Shared loop-schedule cache threaded into every job's options
-    /// (unless the job already carries one). Not owned. May be null.
-    ScheduleCache *Cache = nullptr;
     /// Whole-result memoization (off leaves only single-flight dedup).
     bool MemoizeResults = true;
     size_t MemoMaxEntries = 1024;
@@ -109,7 +102,7 @@ public:
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
 
-  /// Compiles one job through the memo / single-flight / cache stack.
+  /// Compiles one job through the memo / single-flight stack.
   CompileResult compileOne(const CompileJob &Job);
 
   /// Compiles a batch across the pool; results come back in job order and

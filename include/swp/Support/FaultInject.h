@@ -56,10 +56,8 @@ enum class Site : uint8_t {
   WorkerDeath,    ///< Parallel-search worker throws mid-task.
   CorruptSchedule,///< Modulo schedule perturbed before ParanoidVerify.
   CorruptEmission,///< Emitted region perturbed before the emission check.
-  CorruptCacheEntry,///< Persistent schedule-cache entry bit-flipped /
-                    ///< truncated as it is read from disk.
 };
-constexpr unsigned NumSites = 8;
+constexpr unsigned NumSites = 7;
 
 /// Stable lowercase tag for a site ("worker-death").
 const char *siteName(Site S);

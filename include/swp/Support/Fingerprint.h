@@ -1,22 +1,18 @@
-//===- swp/Support/Fingerprint.h - Canonical content fingerprints -*- C++ -*-===//
+//===- swp/Support/Fingerprint.h - Content fingerprints ---------*- C++ -*-===//
 //
 // Part of warp-swp. See DESIGN.md section 10.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Stable 128-bit content fingerprints for the schedule cache. A loop's
-/// cache key covers everything the modulo scheduler's answer depends on
-/// and nothing else:
+/// Stable 128-bit content fingerprints: the key ingredients of
+/// CompileService's whole-result memo and single-flight dedup (see
+/// CompileService::jobKey). A job key covers everything a CompileResult
+/// depends on and nothing else:
 ///
-///   - the dependence graph, canonicalized first: nodes are renumbered in
-///     a deterministic topological order of the same-iteration (omega = 0)
-///     subgraph — ties broken by an iteratively refined structural label,
-///     never by names or declaration order — and hashed together with
-///     every edge's (delay d, iteration distance p) annotation. Two loops
-///     that differ only in virtual-register names or in the order
-///     independent statements were written produce the same canonical
-///     graph and therefore the same fingerprint;
+///   - the program, exactly: statements in order plus raw vreg/array ids
+///     and the full symbol tables (emitted code embeds ids, so only
+///     id-identical programs may share a result; names are excluded);
 ///   - the MachineDescription's resource table and per-opcode latency /
 ///     reservation data (not its display name or clock rate);
 ///   - every schedule-relevant CompilerOptions field (not ChaosSeed,
@@ -24,14 +20,9 @@
 ///     the answer is obtained or reported, never the answer itself —
 ///     SearchThreads in particular is contractually bit-identical).
 ///
-/// canonicalizeGraph() also returns the node renumbering so a cached
-/// schedule (stored in canonical node space) can be permuted onto the
-/// *current* graph's numbering on a hit.
-///
 /// The hash itself is a fixed, platform-independent function (splitmix64
-/// finalization over absorbed 64-bit words); fingerprints are stable
-/// across processes and may be persisted (the on-disk cache tier keys
-/// files by fingerprint).
+/// finalization over absorbed 64-bit words), so equal inputs fingerprint
+/// equal across processes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,19 +32,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <initializer_list>
-#include <string>
-#include <vector>
 
 namespace swp {
 
-class DepGraph;
 class MachineDescription;
 struct CompilerOptions;
 class Program;
 
 /// A 128-bit content fingerprint. Value type; totally ordered and
-/// hashable so it can key maps and name on-disk cache entries.
+/// hashable so it can key maps.
 struct Fingerprint {
   uint64_t Hi = 0;
   uint64_t Lo = 0;
@@ -67,9 +54,6 @@ struct Fingerprint {
   friend bool operator<(const Fingerprint &A, const Fingerprint &B) {
     return A.Hi != B.Hi ? A.Hi < B.Hi : A.Lo < B.Lo;
   }
-
-  /// 32 lowercase hex digits, Hi first — the persistent tier's file stem.
-  std::string hex() const;
 };
 
 /// Hash functor for unordered containers keyed by Fingerprint.
@@ -138,23 +122,6 @@ private:
   uint64_t Count = 0;
 };
 
-/// A dependence graph reduced to canonical form: the structural
-/// fingerprint plus the renumbering that produced it.
-struct CanonicalGraph {
-  Fingerprint FP;
-  /// CanonOf[i] is node i's position in the canonical order. A schedule
-  /// stored canonically maps back as startOf(i) = Starts[CanonOf[i]].
-  std::vector<unsigned> CanonOf;
-};
-
-/// Canonicalizes \p G: renumbers nodes in a deterministic topological
-/// order of the omega = 0 subgraph (ties broken by refined structural
-/// labels) and fingerprints node contents plus every edge's (d, p)
-/// annotation in that order. Invariant under node renumbering that
-/// preserves the graph, in particular under virtual-register renaming and
-/// independent-statement reordering upstream.
-CanonicalGraph canonicalizeGraph(const DepGraph &G);
-
 /// Fingerprints the scheduling-relevant machine model: resource names and
 /// unit counts, per-opcode legality / latency / reservation usage /
 /// operand shape, and register-file sizes. Excludes the display name and
@@ -169,22 +136,11 @@ Fingerprint fingerprintMachine(const MachineDescription &MD);
 /// by contract), budgets, chaos seeds, and report-shaping flags.
 Fingerprint fingerprintScheduleOptions(const CompilerOptions &Opts);
 
-/// Structural whole-program fingerprint: statements in order, opcodes,
-/// loop bounds, immediates, and memory subscripts, with virtual registers
-/// and arrays renumbered by first use so program-identical sources hash
-/// equal regardless of id assignment. Canonical — use for analyses that
-/// translate results back to the requesting program (the schedule cache
-/// does; a shared CompileResult does NOT — see fingerprintProgramExact).
-Fingerprint fingerprintProgram(const Program &P);
-
 /// Id-sensitive whole-program fingerprint: raw vreg/array ids plus the
 /// full symbol tables. Two programs share it only when they are the same
 /// IR modulo names — the safe key for whole-result memoization, where
 /// emitted code embeds ids (array addressing, live-in register deposits).
 Fingerprint fingerprintProgramExact(const Program &P);
-
-/// Combines fingerprints (order-sensitive) into one key.
-Fingerprint combineFingerprints(std::initializer_list<Fingerprint> Parts);
 
 } // namespace swp
 

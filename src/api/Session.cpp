@@ -240,9 +240,6 @@ std::string CompileResponse::toJson() const {
 //===----------------------------------------------------------------------===//
 
 std::string SessionConfig::validate() const {
-  if (Service && Cache)
-    return "SessionConfig: an injected Service brings its own cache "
-           "wiring; Cache would be silently ignored";
   if (Service && !MemoizeResults)
     return "SessionConfig: MemoizeResults configures the session-private "
            "service; it is ignored when a Service is injected";
@@ -407,8 +404,6 @@ struct Session::Impl {
                     std::string &Error,
                     std::vector<OptionDiag> &OptionErrors) const {
     Out = Req.Opts ? *Req.Opts : Cfg.DefaultOpts;
-    if (Out.Cache == nullptr && Out.EnablePipelining)
-      Out.Cache = Cfg.Cache;
 
     if (Req.Budget.limited() && Out.Budget.limited()) {
       OptionErrors.push_back(
@@ -476,7 +471,6 @@ Session::Session(SessionConfig Cfg) : I(std::make_unique<Impl>()) {
   } else {
     CompileService::Config SC;
     SC.Pool = I->Pool;
-    SC.Cache = I->Cfg.Cache;
     SC.MemoizeResults = I->Cfg.MemoizeResults;
     I->OwnedService.emplace(SC);
     I->Service = &*I->OwnedService;

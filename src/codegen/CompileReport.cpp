@@ -139,11 +139,6 @@ void CompileReport::print(std::ostream &OS, bool WithStats) const {
            << L.Stats.FailBudget << " budget-cancelled\n";
     }
   }
-  if (SchedTotals.CacheHits != 0 || SchedTotals.CacheMisses != 0)
-    OS << "schedule cache: " << SchedTotals.CacheHits << " hits, "
-       << SchedTotals.CacheMisses << " misses, "
-       << SchedTotals.CacheEvictions << " evictions, "
-       << SchedTotals.CacheVerifyRejects << " verify rejects\n";
   if (BudgetTripped != BudgetCause::None)
     OS << "compile budget tripped: " << budgetCauseText(BudgetTripped)
        << "\n";
@@ -230,11 +225,8 @@ std::string CompileReport::toJson() const {
     OS << "\"" << (I + 1 != RecoveredErrors.size() ? ", " : "");
   }
   OS << "],\n"
-     << "  \"sched_totals\": {\"cache\": {\"evictions\": "
-     << SchedTotals.CacheEvictions << ", \"hits\": " << SchedTotals.CacheHits
-     << ", \"misses\": " << SchedTotals.CacheMisses
-     << ", \"verify_rejects\": " << SchedTotals.CacheVerifyRejects << "}"
-     << ", \"component_retries\": " << SchedTotals.ComponentRetries
+     << "  \"sched_totals\": {\"component_retries\": "
+     << SchedTotals.ComponentRetries
      << ", \"fail_causes\": ";
   appendFailCauses(OS, SchedTotals);
   OS << ", \"failed_intervals\": " << SchedTotals.failedIntervals()

@@ -29,7 +29,6 @@
 #include "swp/Sched/ListScheduler.h"
 #include "swp/Sched/ScheduleDump.h"
 #include "swp/Sched/Utilization.h"
-#include "swp/Service/ScheduleCache.h"
 #include "swp/Support/FaultInject.h"
 #include "swp/Support/Trace.h"
 #include "swp/Verify/ScheduleVerifier.h"
@@ -1015,35 +1014,7 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
     SOpts.MaxII = static_cast<unsigned>(UnpipelinedPeriod);
   if (Budget)
     SOpts.Budget = Budget;
-  ModuloScheduleResult MS;
-  if (Opts.Cache) {
-    // Content-addressed reuse: key = canonical DDG + machine + every
-    // schedule-relevant option + the resolved search ceiling. A hit is a
-    // finished search (positive or negative) re-verified against *this*
-    // graph; a miss runs the search and publishes the outcome. Chaos-armed
-    // compiles never publish — an injected fault must not poison shared
-    // state that outlives the compile.
-    SWP_TRACE_SPAN(CacheSpan, "scheduleCacheLookup");
-    CanonicalGraph CG = canonicalizeGraph(G);
-    Fingerprint Key = combineFingerprints(
-        {CG.FP, fingerprintMachine(MD), fingerprintScheduleOptions(Opts),
-         Fingerprint{SOpts.MaxII, SOpts.MaxStages}});
-    ScheduleCache::LookupResult LR =
-        Opts.Cache->lookup(Key, CG, G, MD, SOpts.MaxStages);
-    if (LR.Result) {
-      MS = std::move(*LR.Result);
-      MS.Stats.CacheHits = 1;
-      MS.Stats.CacheVerifyRejects = LR.VerifyRejects;
-    } else {
-      MS = moduloSchedule(G, MD, SOpts);
-      MS.Stats.CacheMisses = 1;
-      MS.Stats.CacheVerifyRejects += LR.VerifyRejects;
-      if (Opts.ChaosSeed == 0)
-        MS.Stats.CacheEvictions = Opts.Cache->insert(Key, CG, MS, MD.name());
-    }
-  } else {
-    MS = moduloSchedule(G, MD, SOpts);
-  }
+  ModuloScheduleResult MS = moduloSchedule(G, MD, SOpts);
   Report.Decision = PipelineDecision::Fallback;
   Report.MII = MS.MII;
   Report.ResMII = MS.ResMII;
@@ -1307,12 +1278,14 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
     Not.Uses = {Small};
     emitSerial(std::move(Not), MD.opcodeInfo(Opcode::INot).Latency);
   }
+  // Both versions compare against zero, so define it ahead of the
+  // dispatch branch.
+  PhysReg Zero = emitIConst(0);
   size_t ToUnpipelined = emitCtrl(ControlOp::Kind::JumpIfZero, Big);
 
   PhysReg Rem = emitIBin(Opcode::IMod, T1, UC);
   PhysReg Kp = emitIBin(Opcode::IDiv, T1, UC);
   EmitLoopVarInit();
-  PhysReg Zero = emitIConst(0);
   PhysReg PosRem = emitIBin(Opcode::ICmpLT, Zero, Rem);
   size_t SkipRem = emitCtrl(ControlOp::Kind::JumpIfZero, PosRem);
   emitUnpipelinedRun(PlainG, LocalSched, Period, For.LoopId, Rem);
@@ -1391,8 +1364,6 @@ const char *swp::optionErrorKindText(OptionErrorKind K) {
     return "chaos-compiled-out";
   case OptionErrorKind::ExplainWithoutPipelining:
     return "explain-without-pipelining";
-  case OptionErrorKind::CacheWithoutPipelining:
-    return "cache-without-pipelining";
   case OptionErrorKind::DuplicateBudget:
     return "duplicate-budget";
   }
@@ -1428,10 +1399,6 @@ std::vector<OptionDiag> swp::CompilerOptions::validate() const {
     Reject(OptionErrorKind::ExplainWithoutPipelining,
            "Explain renders pipelined kernels only; it is contradictory "
            "with EnablePipelining = false");
-  if (Cache != nullptr && !EnablePipelining)
-    Reject(OptionErrorKind::CacheWithoutPipelining,
-           "the schedule cache stores modulo schedules; it is "
-           "contradictory with EnablePipelining = false");
   if (Tracker != nullptr && Budget.limited())
     Reject(OptionErrorKind::DuplicateBudget,
            "an external Tracker and inline Budget ceilings are mutually "

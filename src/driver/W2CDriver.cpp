@@ -11,7 +11,6 @@
 #include "swp/Lang/Lowering.h"
 #include "swp/Metrics/Metrics.h"
 #include "swp/Metrics/MetricsServer.h"
-#include "swp/Service/ScheduleCache.h"
 #include "swp/Sim/Simulator.h"
 #include "swp/Support/Trace.h"
 
@@ -77,14 +76,8 @@ void printUsage(std::ostream &OS) {
         "the unrolled list schedule, 2 = sequential only\n"
         "  --chaos-seed=N      deterministic fault injection (testing; "
         "see swp/Support/FaultInject.h)\n"
-        "  --cache             content-addressed schedule cache (loops "
-        "with isomorphic DDGs share one search)\n"
-        "  --cache-dir=DIR     persistent cache tier under DIR (implies "
-        "--cache; entries are verified on load)\n"
-        "  --cache-bytes=N     in-memory cache byte budget (implies "
-        "--cache)\n"
         "  --batch             compile every input file through one "
-        "compile session (dedup + shared cache)\n"
+        "compile session (identical files compile once)\n"
         "  --metrics           enable service telemetry and print the "
         "final snapshot as Prometheus text (with --json, requires "
         "--metrics-out)\n"
@@ -144,13 +137,12 @@ std::string jsonEscape(const std::string &S) {
 }
 
 /// The --batch path: every input file goes through one Session
-/// (identical files coalesce into one compile; with --cache, isomorphic
-/// loops across distinct files share schedule searches).
+/// (identical files coalesce into one compile).
 int runBatch(const std::vector<std::string> &Paths, TargetRegistry &Reg,
              const std::string &Target, const CompilerOptions &Opts,
              bool Stats, bool Json, bool Utilization,
-             const std::string &TracePath, ScheduleCache *Cache,
-             bool Metrics, const std::string &MetricsOut, std::ostream &Out,
+             const std::string &TracePath, bool Metrics,
+             const std::string &MetricsOut, std::ostream &Out,
              std::ostream &Err) {
   if (Paths.empty()) {
     Err << "error: --batch needs at least one input file\n";
@@ -194,7 +186,6 @@ int runBatch(const std::vector<std::string> &Paths, TargetRegistry &Reg,
   SC.DefaultTarget = Target;
   SC.Registry = &Reg;
   SC.DefaultOpts = Opts;
-  SC.Cache = Cache;
   Session Sess(SC);
 
   std::vector<CompileRequest> Reqs(Paths.size());
@@ -234,11 +225,8 @@ int runBatch(const std::vector<std::string> &Paths, TargetRegistry &Reg,
   }
 
   if (Json) {
-    // Keys in sorted order: cache, files, service.
-    Out << "{";
-    if (Cache)
-      Out << "\"cache\":" << Cache->stats().toJson() << ",";
-    Out << "\"files\":[";
+    // Keys in sorted order: files, service.
+    Out << "{\"files\":[";
     for (size_t I = 0; I != Responses.size(); ++I) {
       if (I)
         Out << ",";
@@ -266,12 +254,6 @@ int runBatch(const std::vector<std::string> &Paths, TargetRegistry &Reg,
       Out << "service: " << SS.Requests << " requests, " << SS.Compiles
           << " compiles, " << SS.MemoHits << " memo hits, " << SS.Coalesced
           << " coalesced\n";
-      if (Cache) {
-        CacheStats CS = Cache->stats();
-        Out << "cache: " << CS.Hits << " hits, " << CS.Misses
-            << " misses, " << CS.Evictions << " evictions, "
-            << CS.VerifyRejects << " verify rejects\n";
-      }
     }
   }
   if (Metrics && !emitMetricsSnapshot(MetricsOut, Out, Err))
@@ -295,9 +277,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
   CompileBudget Budget;
   uint64_t ChaosSeed = 0;
   unsigned MinLadderRung = 0;
-  bool UseCache = false;
-  std::string CacheDir;
-  uint64_t CacheBytes = 0;
   bool Batch = false;
   bool Metrics = false;
   std::string MetricsOut;
@@ -371,24 +350,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
       if (!parseCount(Arg, 13, "--chaos-seed", UINT64_MAX, N, Err))
         return W2CExitUsage;
       ChaosSeed = N;
-    } else if (Arg == "--cache") {
-      UseCache = true;
-    } else if (Arg.rfind("--cache-dir=", 0) == 0) {
-      CacheDir = Arg.substr(12);
-      if (CacheDir.empty()) {
-        Err << "error: --cache-dir needs a directory (--cache-dir=DIR)\n";
-        return W2CExitUsage;
-      }
-      UseCache = true;
-    } else if (Arg.rfind("--cache-bytes=", 0) == 0) {
-      if (!parseCount(Arg, 14, "--cache-bytes", UINT64_MAX, N, Err))
-        return W2CExitUsage;
-      if (N == 0) {
-        Err << "error: --cache-bytes needs a nonzero byte budget\n";
-        return W2CExitUsage;
-      }
-      CacheBytes = N;
-      UseCache = true;
     } else if (Arg == "--batch") {
       Batch = true;
     } else if (Arg == "--metrics") {
@@ -425,11 +386,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
   // typed rejections CompilerOptions::validate() gives API callers.
   if (Explain && !Pipeline) {
     Err << "error: --explain renders pipelined kernels; it is "
-           "contradictory with --no-pipeline\n";
-    return W2CExitUsage;
-  }
-  if (UseCache && !Pipeline) {
-    Err << "error: the schedule cache stores modulo schedules; --cache is "
            "contradictory with --no-pipeline\n";
     return W2CExitUsage;
   }
@@ -496,15 +452,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
     return W2CExitUsage;
   }
 
-  std::optional<ScheduleCache> Cache;
-  if (UseCache) {
-    ScheduleCacheConfig CC;
-    if (CacheBytes != 0)
-      CC.MaxBytes = static_cast<size_t>(CacheBytes);
-    CC.Dir = CacheDir;
-    Cache.emplace(CC);
-  }
-
   CompilerOptions Opts;
   Opts.EnablePipelining = Pipeline;
   Opts.ParanoidVerify = Verify;
@@ -516,8 +463,7 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
 
   if (Batch)
     return runBatch(Paths, Reg, Target, Opts, Stats, Json, Utilization,
-                    TracePath, Cache ? &*Cache : nullptr, Metrics,
-                    MetricsOut, Out, Err);
+                    TracePath, Metrics, MetricsOut, Out, Err);
 
   std::string Source;
   if (Paths.empty()) {
@@ -564,7 +510,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
   SessionConfig SC;
   SC.DefaultTarget = Target;
   SC.Registry = &Reg;
-  SC.Cache = Cache ? &*Cache : nullptr;
   Session Sess(SC);
   const MachineDescription &MD = *Reg.lookup(Target);
   CompileResponse Resp = Sess.compileNow(Mod->Prog, Target, &Opts, &DE);

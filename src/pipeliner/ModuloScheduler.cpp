@@ -722,10 +722,9 @@ ModuloScheduleResult swp::moduloSchedule(const DepGraph &G,
     Result.Stages = (Result.Sched.issueLength() + Result.II - 1) / Result.II;
   Result.Stats.TotalSeconds = secondsSince(TotalStart);
   {
-    // Scheduler-quality fleet metrics: recorded only for real searches
-    // (cache hits short-circuit before reaching here), so the II-gap
-    // distribution measures what the scheduler achieves, not what the
-    // cache replays.
+    // Scheduler-quality fleet metrics: recorded once per search, so the
+    // II-gap distribution measures what the scheduler achieves (memo hits
+    // in the compile service never reach here).
     struct SchedMetrics {
       metrics::Counter Searches, IntervalsTried;
       metrics::Counter FailPrecedence, FailResource, FailSlotAbort,

@@ -7,7 +7,6 @@
 #include "swp/Service/CompileService.h"
 
 #include "swp/Metrics/Metrics.h"
-#include "swp/Service/ScheduleCache.h"
 #include "swp/Support/ThreadPool.h"
 #include "swp/Support/Trace.h"
 
@@ -58,11 +57,11 @@ CompileService::CompileService(Config C) : Cfg(C) {
 Fingerprint CompileService::jobKey(const Program &P,
                                    const MachineDescription &MD,
                                    const CompilerOptions &Opts) {
-  // The exact program fingerprint (not the canonical one): a memoized
-  // CompileResult embeds vreg/array ids, so only id-identical programs
-  // may share one. The schedule-options fingerprint deliberately excludes
-  // report-shaping flags (they don't change schedules); the service
-  // memoizes whole CompileResults, so fold them back in here.
+  // The exact program fingerprint: a memoized CompileResult embeds
+  // vreg/array ids, so only id-identical programs may share one. The
+  // schedule-options fingerprint deliberately excludes report-shaping
+  // flags (they don't change schedules); the service memoizes whole
+  // CompileResults, so fold them back in here.
   FingerprintHasher H;
   H.absorb(fingerprintProgramExact(P));
   H.absorb(fingerprintMachine(MD));
@@ -125,10 +124,6 @@ CompileResult CompileService::runCompile(const CompileJob &Job, Program &P) {
   Compiles.fetch_add(1, std::memory_order_relaxed);
   ServiceMetrics::get().Compiles.inc();
   CompilerOptions Opts = Job.Opts;
-  // Inject the shared cache only where it can matter: a cache with
-  // pipelining disabled is a contradiction compileProgram rejects.
-  if (Opts.Cache == nullptr && Opts.EnablePipelining)
-    Opts.Cache = Cfg.Cache;
   if (Opts.Tracker == nullptr)
     Opts.Tracker = Job.Tracker;
   return compileProgram(P, *Job.MD, Opts);

@@ -1,4 +1,4 @@
-//===- Fingerprint.cpp - Canonical content fingerprints -------------------------===//
+//===- Fingerprint.cpp - Content fingerprints -----------------------------===//
 //
 // Part of warp-swp. See Fingerprint.h and DESIGN.md section 10.
 //
@@ -7,200 +7,10 @@
 #include "swp/Support/Fingerprint.h"
 
 #include "swp/Codegen/Compiler.h"
-#include "swp/DDG/DepGraph.h"
 #include "swp/IR/Program.h"
 #include "swp/Machine/MachineDescription.h"
 
-#include <algorithm>
-#include <array>
-#include <tuple>
-#include <unordered_map>
-
 using namespace swp;
-
-std::string Fingerprint::hex() const {
-  static const char Digits[] = "0123456789abcdef";
-  std::string S(32, '0');
-  uint64_t W = Hi;
-  for (int I = 15; I >= 0; --I, W >>= 4)
-    S[static_cast<size_t>(I)] = Digits[W & 0xf];
-  W = Lo;
-  for (int I = 31; I >= 16; --I, W >>= 4)
-    S[static_cast<size_t>(I)] = Digits[W & 0xf];
-  return S;
-}
-
-Fingerprint swp::combineFingerprints(std::initializer_list<Fingerprint> Parts) {
-  FingerprintHasher H;
-  for (const Fingerprint &F : Parts)
-    H.absorb(F);
-  return H.finish();
-}
-
-//===----------------------------------------------------------------------===//
-// DDG canonicalization
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-uint64_t hashWords(std::initializer_list<uint64_t> Ws) {
-  uint64_t X = 0x2545f4914f6cdd1dULL;
-  for (uint64_t W : Ws)
-    X = FingerprintHasher::mix(X ^ (W * 0x9e3779b97f4a7c15ULL));
-  return X;
-}
-
-/// Name-free structural hash of one node: everything the scheduler sees
-/// (offsets, opcodes, predicate shape, the reservation table) and nothing
-/// it does not (register ids, immediates, array names — those are carried
-/// by the graph's edges or do not constrain placement at all).
-uint64_t contentHash(const ScheduleUnit &U) {
-  uint64_t X = hashWords({static_cast<uint64_t>(U.length()),
-                          U.isReduced() ? 1u : 0u, U.ops().size(),
-                          U.reservation().size()});
-  for (const UnitOp &Op : U.ops()) {
-    uint64_t PredBits = 0;
-    for (size_t I = 0; I != Op.Preds.size(); ++I)
-      if (Op.Preds[I].Negated)
-        PredBits |= uint64_t(1) << (I & 63);
-    X = hashWords({X, static_cast<uint64_t>(Op.Offset),
-                   static_cast<uint64_t>(Op.Op.Opc),
-                   Op.Op.Operands.size(), Op.Preds.size(), PredBits});
-  }
-  std::vector<ResourceUse> Res(U.reservation());
-  std::sort(Res.begin(), Res.end(), [](const ResourceUse &A,
-                                       const ResourceUse &B) {
-    return std::tie(A.Cycle, A.ResId, A.Units) <
-           std::tie(B.Cycle, B.ResId, B.Units);
-  });
-  for (const ResourceUse &R : Res)
-    X = hashWords({X, R.ResId, R.Cycle, R.Units});
-  return X;
-}
-
-} // namespace
-
-CanonicalGraph swp::canonicalizeGraph(const DepGraph &G) {
-  const unsigned N = G.numNodes();
-  CanonicalGraph CG;
-  CG.CanonOf.assign(N, ~0u);
-
-  // Initial labels: per-node structural content.
-  std::vector<uint64_t> Label(N);
-  for (unsigned I = 0; I != N; ++I)
-    Label[I] = contentHash(G.unit(I));
-
-  // Weisfeiler–Leman refinement: fold each node's incident edges — as
-  // (direction, d, p, neighbor label) tuples, sorted so the input edge
-  // order cannot leak in — back into its label. A few rounds separate
-  // nodes that content alone cannot (same opcode, different position in
-  // the dependence structure).
-  std::vector<uint64_t> Next(N);
-  std::vector<uint64_t> Incident;
-  for (unsigned Round = 0; Round != 4; ++Round) {
-    for (unsigned I = 0; I != N; ++I) {
-      Incident.clear();
-      for (unsigned EI : G.succs(I)) {
-        const DepEdge &E = G.edges()[EI];
-        Incident.push_back(hashWords({0, static_cast<uint64_t>(E.Delay),
-                                      E.Omega, Label[E.Dst]}));
-      }
-      for (unsigned EI : G.preds(I)) {
-        const DepEdge &E = G.edges()[EI];
-        Incident.push_back(hashWords({1, static_cast<uint64_t>(E.Delay),
-                                      E.Omega, Label[E.Src]}));
-      }
-      std::sort(Incident.begin(), Incident.end());
-      uint64_t X = Label[I];
-      for (uint64_t W : Incident)
-        X = hashWords({X, W});
-      Next[I] = X;
-    }
-    Label.swap(Next);
-  }
-
-  // Canonical order: Kahn's algorithm over the same-iteration (omega = 0)
-  // subgraph, which is acyclic (same-iteration edges always point forward
-  // in program order); among ready nodes the smallest refined label wins,
-  // original index only as the final tie-break (structurally symmetric
-  // nodes — equal labels — are interchangeable, so either choice yields
-  // the same canonical graph).
-  std::vector<unsigned> InDeg(N, 0);
-  for (const DepEdge &E : G.edges())
-    if (E.Omega == 0 && E.Src != E.Dst)
-      ++InDeg[E.Dst];
-  std::vector<unsigned> Ready;
-  std::vector<char> Placed(N, 0);
-  for (unsigned I = 0; I != N; ++I)
-    if (InDeg[I] == 0)
-      Ready.push_back(I);
-
-  std::vector<unsigned> Order;
-  Order.reserve(N);
-  while (Order.size() != N) {
-    if (Ready.empty()) {
-      // Defensive: an omega-0 cycle would strand nodes; place the rest in
-      // label order so canonicalization still terminates deterministically.
-      for (unsigned I = 0; I != N; ++I)
-        if (!Placed[I])
-          Ready.push_back(I);
-    }
-    size_t Best = 0;
-    for (size_t I = 1; I != Ready.size(); ++I)
-      if (std::make_pair(Label[Ready[I]], Ready[I]) <
-          std::make_pair(Label[Ready[Best]], Ready[Best]))
-        Best = I;
-    unsigned Node = Ready[Best];
-    Ready.erase(Ready.begin() + static_cast<ptrdiff_t>(Best));
-    if (Placed[Node])
-      continue;
-    Placed[Node] = 1;
-    unsigned Pos = static_cast<unsigned>(Order.size());
-    CG.CanonOf[Node] = Pos;
-    Order.push_back(Node);
-    // Refine the frontier with the placement: neighbors of a placed node
-    // inherit its canonical position, so later ties between otherwise
-    // identical nodes resolve by their relation to what is already laid
-    // down, independent of input numbering.
-    for (unsigned EI : G.succs(Node)) {
-      const DepEdge &E = G.edges()[EI];
-      if (!Placed[E.Dst]) {
-        Label[E.Dst] = hashWords({Label[E.Dst], 2, Pos,
-                                  static_cast<uint64_t>(E.Delay), E.Omega});
-        if (E.Omega == 0 && --InDeg[E.Dst] == 0)
-          Ready.push_back(E.Dst);
-      }
-    }
-    for (unsigned EI : G.preds(Node)) {
-      const DepEdge &E = G.edges()[EI];
-      if (!Placed[E.Src])
-        Label[E.Src] = hashWords({Label[E.Src], 3, Pos,
-                                  static_cast<uint64_t>(E.Delay), E.Omega});
-    }
-  }
-
-  // Fingerprint the canonical form: node contents in canonical order,
-  // then every edge as (canonical src, canonical dst, d, p), sorted. The
-  // dependence kind is deliberately absent — two graphs that differ only
-  // in why an edge exists have identical constraint systems.
-  FingerprintHasher H;
-  H.absorb(N);
-  H.absorb(G.edges().size());
-  for (unsigned Node : Order)
-    H.absorb(contentHash(G.unit(Node)));
-  std::vector<std::array<uint64_t, 4>> Edges;
-  Edges.reserve(G.edges().size());
-  for (const DepEdge &E : G.edges())
-    Edges.push_back({CG.CanonOf[E.Src], CG.CanonOf[E.Dst],
-                     static_cast<uint64_t>(E.Delay),
-                     static_cast<uint64_t>(E.Omega)});
-  std::sort(Edges.begin(), Edges.end());
-  for (const auto &E : Edges)
-    for (uint64_t W : E)
-      H.absorb(W);
-  CG.FP = H.finish();
-  return CG;
-}
 
 //===----------------------------------------------------------------------===//
 // Machine and options fingerprints
@@ -252,9 +62,9 @@ Fingerprint swp::fingerprintScheduleOptions(const CompilerOptions &Opts) {
   H.absorb(Opts.Sched.MaxStages);
   H.absorb(Opts.Sched.MaxII);
   // Deliberately excluded: Sched.SearchThreads (bit-identical to serial
-  // by contract), Budget (changes when the answer arrives, and a hit is
-  // free anyway), ChaosSeed (chaos compiles never populate the cache),
-  // ParanoidVerify / Explain (report shape, not code).
+  // by contract), Budget and ChaosSeed (budgeted and chaos-armed compiles
+  // bypass the memo), ParanoidVerify / Explain (report shape, not code;
+  // jobKey folds them back in).
   return H.finish();
 }
 
@@ -264,75 +74,36 @@ Fingerprint swp::fingerprintScheduleOptions(const CompilerOptions &Opts) {
 
 namespace {
 
-/// Streaming structural hash of a program with registers and arrays
-/// renumbered by first use, so the fingerprint is independent of id
-/// assignment order (two builders declaring the same loops in a different
-/// declaration order still dedup).
+/// Streaming structural hash of a program that keeps raw vreg/array ids
+/// and hashes the full symbol tables in declaration order. Exactness is
+/// the point: emitted code embeds ids (memory ops address arrays by id,
+/// LiveInRegs is keyed by vreg id), so only id-identical programs may
+/// share a memoized CompileResult.
 class ProgramHasher {
 public:
-  /// \p Exact keeps raw vreg/array ids (and hashes the full symbol tables
-  /// in declaration order) instead of renumbering by first use. Exact is
-  /// the key for whole-result memoization: emitted code embeds ids
-  /// (memory ops address arrays by id, LiveInRegs is keyed by vreg id),
-  /// so only id-identical programs may share a CompileResult. The
-  /// canonical form is for the schedule cache, whose hits are permuted
-  /// back onto the requesting graph.
-  ProgramHasher(const Program &P, bool Exact) : P(P), Exact(Exact) {}
+  explicit ProgramHasher(const Program &P) : P(P) {}
 
   Fingerprint run() {
     H.absorb(P.numLoops());
-    if (Exact) {
-      H.absorb(P.numVRegs());
-      for (unsigned I = 0; I != P.numVRegs(); ++I) {
-        const VRegInfo &Info = P.vregInfo(VReg(I));
-        H.absorb(static_cast<uint64_t>(Info.RC));
-        H.absorb(Info.IsLiveIn ? 1u : 0u);
-      }
-      H.absorb(P.numArrays());
-      for (unsigned I = 0; I != P.numArrays(); ++I) {
-        const ArrayInfo &Info = P.arrayInfo(I);
-        H.absorb(static_cast<uint64_t>(Info.Elem));
-        H.absorbSigned(Info.Size);
-        H.absorb(Info.NoAlias ? 1u : 0u);
-      }
+    H.absorb(P.numVRegs());
+    for (unsigned I = 0; I != P.numVRegs(); ++I) {
+      const VRegInfo &Info = P.vregInfo(VReg(I));
+      H.absorb(static_cast<uint64_t>(Info.RC));
+      H.absorb(Info.IsLiveIn ? 1u : 0u);
+    }
+    H.absorb(P.numArrays());
+    for (unsigned I = 0; I != P.numArrays(); ++I) {
+      const ArrayInfo &Info = P.arrayInfo(I);
+      H.absorb(static_cast<uint64_t>(Info.Elem));
+      H.absorbSigned(Info.Size);
+      H.absorb(Info.NoAlias ? 1u : 0u);
     }
     walk(P.Body);
     return H.finish();
   }
 
 private:
-  void absorbVReg(VReg R) {
-    if (!R.isValid()) {
-      H.absorb(~uint64_t(0));
-      return;
-    }
-    if (Exact) {
-      H.absorb(R.Id);
-      return;
-    }
-    auto [It, Fresh] = VRegIds.try_emplace(R.Id, VRegIds.size());
-    H.absorb(It->second);
-    if (Fresh) {
-      const VRegInfo &Info = P.vregInfo(R);
-      H.absorb(static_cast<uint64_t>(Info.RC));
-      H.absorb(Info.IsLiveIn ? 1u : 0u);
-    }
-  }
-
-  void absorbArray(unsigned Id) {
-    if (Exact) {
-      H.absorb(Id);
-      return;
-    }
-    auto [It, Fresh] = ArrayIds.try_emplace(Id, ArrayIds.size());
-    H.absorb(It->second);
-    if (Fresh) {
-      const ArrayInfo &Info = P.arrayInfo(Id);
-      H.absorb(static_cast<uint64_t>(Info.Elem));
-      H.absorbSigned(Info.Size);
-      H.absorb(Info.NoAlias ? 1u : 0u);
-    }
-  }
+  void absorbVReg(VReg R) { H.absorb(R.isValid() ? R.Id : ~uint64_t(0)); }
 
   void absorbBound(const LoopBound &B) {
     H.absorb(B.IsImm ? 1u : 0u);
@@ -356,7 +127,7 @@ private:
           absorbVReg(R);
         H.absorb(Op.Mem.isValid() ? 1u : 0u);
         if (Op.Mem.isValid()) {
-          absorbArray(Op.Mem.ArrayId);
+          H.absorb(Op.Mem.ArrayId);
           H.absorb(Op.Mem.Index.Terms.size());
           for (const AffineExpr::Term &T : Op.Mem.Index.Terms) {
             H.absorb(T.LoopId);
@@ -393,18 +164,11 @@ private:
   }
 
   const Program &P;
-  bool Exact;
   FingerprintHasher H;
-  std::unordered_map<unsigned, uint64_t> VRegIds;
-  std::unordered_map<unsigned, uint64_t> ArrayIds;
 };
 
 } // namespace
 
-Fingerprint swp::fingerprintProgram(const Program &P) {
-  return ProgramHasher(P, /*Exact=*/false).run();
-}
-
 Fingerprint swp::fingerprintProgramExact(const Program &P) {
-  return ProgramHasher(P, /*Exact=*/true).run();
+  return ProgramHasher(P).run();
 }

@@ -31,8 +31,6 @@ const char *swp::faults::siteName(Site S) {
     return "corrupt-schedule";
   case Site::CorruptEmission:
     return "corrupt-emission";
-  case Site::CorruptCacheEntry:
-    return "corrupt-cache-entry";
   }
   return "unknown";
 }

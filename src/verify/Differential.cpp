@@ -34,11 +34,6 @@ ModeRun runMode(const WorkloadSpec &Spec, const MachineDescription &MD,
   ModeRun M;
   Opts.EnablePipelining = Pipeline;
   Opts.ParanoidVerify = true;
-  // The baseline mode derives from the caller's (possibly cache-armed)
-  // options; a schedule cache with pipelining off is a contradiction
-  // compileProgram rejects, so drop it rather than fail the mode.
-  if (!Pipeline)
-    Opts.Cache = nullptr;
 
   BuiltWorkload W = Spec.Make();
   CompileResult CR = compileProgram(*W.Prog, MD, Opts);

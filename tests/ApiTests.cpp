@@ -12,7 +12,7 @@
 //  - Session: compileNow and async submit are bit-identical to bare
 //    compileProgram; a mixed-target batch (one target loaded from the
 //    checked-in JSON file) matches per-target serial references with
-//    per-target cache keys; priorities order the pending queue; cancel
+//    per-target memo keys; priorities order the pending queue; cancel
 //    trips cooperatively; option incoherence comes back as typed
 //    OptionDiags; N concurrent sessions stay bit-identical to serial.
 //  - The response envelope JSON is locked by a golden snapshot
@@ -23,7 +23,6 @@
 
 #include "swp/API/Session.h"
 #include "swp/Codegen/VLIWProgram.h"
-#include "swp/Service/ScheduleCache.h"
 #include "swp/Support/Fingerprint.h"
 #include "swp/Support/ThreadPool.h"
 #include "swp/Verify/RandomLoopGen.h"
@@ -88,7 +87,7 @@ TEST(TargetRegistry, BuiltinsRegisteredAndValid) {
 }
 
 // The acceptance property of the JSON format: emit -> reload gives a
-// machine with the identical fingerprint (so cache keys agree), the
+// machine with the identical fingerprint (so memo keys agree), the
 // identical canonical JSON (so the form is a fixpoint), and bit-identical
 // schedules for a nontrivial kernel.
 TEST(TargetRegistry, JsonRoundTripIsExact) {
@@ -202,8 +201,8 @@ TEST(Session, SubmitAsyncMatchesSerial) {
 // The single-submitBatch acceptance check: one batch over two registered
 // targets — one of them loaded from the checked-in JSON target file —
 // matches per-target serial compileProgram references bit for bit, and
-// every (kernel, target) pair really compiled (per-target cache keys and
-// memo keys never collide across machines).
+// every (kernel, target) pair really compiled (per-target memo keys never
+// collide across machines).
 TEST(Session, MixedTargetBatchMatchesSerial) {
   TargetRegistry Reg;
   TargetRegistry::registerBuiltins(Reg);
@@ -367,20 +366,20 @@ TEST(Session, OptionRejectionsAreTyped) {
   Session Sess;
   WorkloadSpec Spec = randomLoopSpec(16);
 
-  // A schedule cache with pipelining disabled is contradictory.
-  ScheduleCache Cache;
+  // Explain renders pipelined kernels; with pipelining off it is
+  // contradictory.
   CompileRequest Req;
   Req.Make = [&Spec] { return Spec.Make().Prog; };
   CompilerOptions Bad;
   Bad.EnablePipelining = false;
-  Bad.Cache = &Cache;
+  Bad.Explain = true;
   Req.Opts = Bad;
   CompileHandle H = Sess.submit(std::move(Req));
   const CompileResponse &Resp = H.get();
   EXPECT_FALSE(Resp.Ok);
   ASSERT_FALSE(Resp.OptionErrors.empty());
   EXPECT_EQ(Resp.OptionErrors[0].Kind,
-            OptionErrorKind::CacheWithoutPipelining);
+            OptionErrorKind::ExplainWithoutPipelining);
 
   // Budget ceilings both per-request and inside Opts: DuplicateBudget.
   CompileRequest Req2;
@@ -397,13 +396,12 @@ TEST(Session, OptionRejectionsAreTyped) {
 }
 
 TEST(Session, IncoherentConfigFailsEveryRequest) {
-  // An injected service plus a session cache would silently ignore the
-  // cache; the session refuses instead.
+  // An injected service plus MemoizeResults = false would silently ignore
+  // the memo setting; the session refuses instead.
   CompileService Svc;
-  ScheduleCache Cache;
   SessionConfig Cfg;
   Cfg.Service = &Svc;
-  Cfg.Cache = &Cache;
+  Cfg.MemoizeResults = false;
   EXPECT_NE(Cfg.validate(), "");
   Session Sess(Cfg);
   EXPECT_NE(Sess.configError(), "");

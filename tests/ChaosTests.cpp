@@ -13,14 +13,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "swp/Service/ScheduleCache.h"
 #include "swp/Support/FaultInject.h"
 #include "swp/Verify/Differential.h"
 #include "swp/Workloads/Workloads.h"
 
 #include <gtest/gtest.h>
-
-#include <filesystem>
 
 using namespace swp;
 
@@ -125,81 +122,6 @@ TEST(ChaosSweep, CorruptEmissionFailsStructured) {
   CompileResult CR = compileProgram(*W.Prog, MD, Opts, &DE);
   ASSERT_FALSE(CR.Ok);
   EXPECT_FALSE(CR.Report.VerifyErrors.empty());
-}
-
-TEST(ChaosSweep, CorruptCacheEntryRejectedAndRecovered) {
-  // A bit-flipped (or truncated) persistent cache entry must be caught by
-  // the disk tier's structural validation: the compile falls back to a
-  // clean cold search, emits code bit-identical to an uncached build, and
-  // a chaos-armed compile never publishes anything back into the cache.
-  MachineDescription MD = MachineDescription::warpCell();
-  const WorkloadSpec &Spec = livermoreKernels().front();
-  ScheduleCacheConfig CacheCfg;
-  CacheCfg.Dir = "chaos_cache_dir";
-  std::filesystem::remove_all(CacheCfg.Dir);
-
-  // Uncached reference code.
-  std::string Ref;
-  {
-    BuiltWorkload W = Spec.Make();
-    DiagnosticEngine DE;
-    CompileResult CR = compileProgram(*W.Prog, MD, {}, &DE);
-    ASSERT_TRUE(CR.Ok) << CR.Error;
-    Ref = vliwProgramToString(CR.Code, MD);
-  }
-
-  // Populate the persistent tier with a clean (unarmed) compile.
-  {
-    ScheduleCache Cache(CacheCfg);
-    BuiltWorkload W = Spec.Make();
-    CompilerOptions Opts;
-    Opts.Cache = &Cache;
-    DiagnosticEngine DE;
-    CompileResult CR = compileProgram(*W.Prog, MD, Opts, &DE);
-    ASSERT_TRUE(CR.Ok) << CR.Error;
-    ASSERT_GE(Cache.stats().DiskStores, 1u) << "no entry reached disk";
-  }
-
-  // Armed read-back across the first few dynamic occurrences. Occurrence
-  // 0 is the kernel's own load and must be rejected; later occurrences
-  // may simply never fire (then the lookup is an ordinary disk hit) —
-  // either way the code is bit-identical and nothing corrupt escapes.
-  for (unsigned Occ = 0; Occ != 3; ++Occ) {
-    ScheduleCache Cache(CacheCfg);
-    BuiltWorkload W = Spec.Make();
-    CompilerOptions Opts;
-    Opts.ParanoidVerify = true;
-    Opts.Cache = &Cache;
-    Opts.ChaosSeed =
-        faults::chaosSeed(faults::Site::CorruptCacheEntry, Occ);
-    DiagnosticEngine DE;
-    CompileResult CR = compileProgram(*W.Prog, MD, Opts, &DE);
-    ASSERT_TRUE(CR.Ok) << "occurrence " << Occ << ": " << CR.Error;
-    EXPECT_TRUE(CR.Report.VerifyErrors.empty());
-    EXPECT_EQ(vliwProgramToString(CR.Code, MD), Ref)
-        << "occurrence " << Occ;
-    if (Occ == 0) {
-      EXPECT_GE(Cache.stats().VerifyRejects, 1u)
-          << "corruption was not detected";
-    }
-    EXPECT_EQ(Cache.stats().DiskStores, 0u)
-        << "chaos-armed compile published a cache entry";
-  }
-
-  // The fault corrupts the bytes as read, never the file itself: a clean
-  // process over the same directory still hits and still matches.
-  {
-    ScheduleCache Cache(CacheCfg);
-    BuiltWorkload W = Spec.Make();
-    CompilerOptions Opts;
-    Opts.Cache = &Cache;
-    DiagnosticEngine DE;
-    CompileResult CR = compileProgram(*W.Prog, MD, Opts, &DE);
-    ASSERT_TRUE(CR.Ok) << CR.Error;
-    EXPECT_GE(Cache.stats().DiskHits, 1u);
-    EXPECT_EQ(vliwProgramToString(CR.Code, MD), Ref);
-  }
-  std::filesystem::remove_all(CacheCfg.Dir);
 }
 
 TEST(ChaosSweep, RecMIIInflateStillCorrect) {

@@ -65,6 +65,19 @@ TEST(Differential, ScaledMachineBitIdentical) {
   EXPECT_GT(Pipelined, 0u);
 }
 
+TEST(Differential, RegressionSeeds) {
+  // Generated programs that once compiled to wrong code, pinned because
+  // a fresh fuzz sweep rarely lands on them again.
+  //  - 14698059684119201311: the runtime-trip-count dispatch branched to
+  //    its all-unpipelined version before defining the zero register that
+  //    version's n > 0 guard reads, so a 1-trip loop could be skipped.
+  MachineDescription MD = MachineDescription::warpCell();
+  for (uint64_t Seed : {14698059684119201311ull}) {
+    DiffOutcome O = runDifferential(randomLoopSpec(Seed), MD);
+    EXPECT_TRUE(O.Ok) << "seed " << Seed << ": " << O.Error;
+  }
+}
+
 TEST(Differential, RandomLoopGeneratorIsDeterministic) {
   // Same seed, same program, same input — byte for byte. The fuzz
   // campaign's reproducibility rests on this.

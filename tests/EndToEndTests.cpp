@@ -674,17 +674,18 @@ TEST(W2CExitCodes, BudgetDegradedCompileIsFour) {
 // ---------------------------------------------------------------------------
 
 // --metrics must emit a self-consistent snapshot: one latency sample per
-// session request, every cache lookup resolved as a hit or a miss, and
-// the II-optimality-gap histogram populated by the real searches. The
-// global registry accumulates across tests in this binary, so the
-// assertions compare before/after deltas.
+// session request, every service request resolved as exactly one memo
+// hit, coalesced wait, or compile, and the II-optimality-gap histogram
+// populated by the real searches. The global registry accumulates across
+// tests in this binary, so the assertions compare before/after deltas.
 TEST(W2CMetrics, SnapshotIsSelfConsistent) {
   if (!metrics::compiledIn())
     GTEST_SKIP() << "metrics compiled out";
   metrics::MetricsRegistry &Reg = metrics::MetricsRegistry::global();
   metrics::MetricsSnapshot Before = Reg.snapshot();
-  DriverRun R = runDriver({"--metrics", "--cache",
-                           writeSource("metrics", GoodSource)});
+  DriverRun R = runDriver({"--metrics", "--batch",
+                           writeSource("metrics-a", GoodSource),
+                           writeSource("metrics-b", GoodSource)});
   metrics::MetricsSnapshot After = Reg.snapshot();
   metrics::setEnabled(false); // Leave the process as this test found it.
   EXPECT_EQ(R.Exit, W2CExitOk) << R.Err;
@@ -714,14 +715,15 @@ TEST(W2CMetrics, SnapshotIsSelfConsistent) {
            HistLayerCount(Before, Name, TargetLabeled);
   };
   uint64_t Requests = CounterDelta("swp_session_requests_total");
-  EXPECT_GT(Requests, 0u);
+  EXPECT_EQ(Requests, 2u);
   EXPECT_EQ(HistLayerDelta("swp_session_latency_us", false), Requests);
   EXPECT_EQ(HistLayerDelta("swp_session_latency_us", true), Requests);
-  uint64_t Lookups = CounterDelta("swp_cache_lookups_total");
-  EXPECT_GT(Lookups, 0u);
-  EXPECT_EQ(CounterDelta("swp_cache_hits_total") +
-                CounterDelta("swp_cache_misses_total"),
-            Lookups);
+  uint64_t ServiceRequests = CounterDelta("swp_service_requests_total");
+  EXPECT_EQ(ServiceRequests, Requests);
+  EXPECT_EQ(CounterDelta("swp_service_memo_hits_total") +
+                CounterDelta("swp_service_coalesced_total") +
+                CounterDelta("swp_service_compiles_total"),
+            ServiceRequests);
   EXPECT_GT(HistDelta("swp_sched_ii_gap"), 0u);
   EXPECT_GT(CounterDelta("swp_compile_total"), 0u);
 }

@@ -8,8 +8,8 @@
 # gauge is present (awk only; no JSON tooling required).
 #
 # With a target=NAME filter, also prints that target's slice of the
-# fleet dashboards — the per-target session outcomes, cache traffic, and
-# II-gap quality series (label target="NAME") — and fails if the stream
+# fleet dashboards — the per-target session outcomes and II-gap quality
+# series (label target="NAME") — and fails if the stream
 # carries no series for that target at all.
 #
 # usage: tools/metrics-report.sh FILE.jsonl [target=NAME]
@@ -100,12 +100,6 @@ END {
             "swp_compile_budget_trips_total budget_trips " \
             "swp_sched_searches_total sched_searches " \
             "swp_sched_intervals_tried_total intervals_tried " \
-            "swp_cache_lookups_total cache_lookups " \
-            "swp_cache_hits_total cache_hits " \
-            "swp_cache_misses_total cache_misses " \
-            "swp_cache_evictions_total cache_evictions " \
-            "swp_cache_budget_entries cache_budget_entries " \
-            "swp_cache_budget_bytes cache_budget_bytes " \
             "swp_pool_tasks_total pool_tasks", Pairs, " ")
   for (i = 1; i + 1 <= n; i += 2) {
     v = val(Pairs[i])
@@ -127,17 +121,6 @@ END {
     v = val(okey(Outs[i]))
     if (v != "") {
       printf "  session_%-13s %s\n", Outs[i] ":", v
-      Found = 1
-    }
-  }
-  n = split("swp_cache_lookups_total cache_lookups " \
-            "swp_cache_hits_total cache_hits " \
-            "swp_cache_misses_total cache_misses " \
-            "swp_cache_evictions_total cache_evictions", Pairs, " ")
-  for (i = 1; i + 1 <= n; i += 2) {
-    v = val(tkey(Pairs[i]))
-    if (v != "") {
-      printf "  %-19s %s\n", Pairs[i + 1] ":", v
       Found = 1
     }
   }
