@@ -48,7 +48,6 @@ enum class OptionErrorKind : uint8_t {
   BadMaxUnroll,          ///< MaxUnroll == 0.
   BadLoopLenCap,         ///< MaxLoopLenToPipeline == 0.
   BadEfficiencyThreshold,///< EfficiencyThreshold outside (0, 1].
-  ParallelBinarySearch,  ///< SearchThreads > 1 under BinarySearch.
   BadLadderRung,         ///< MinLadderRung > 2.
   ChaosCompiledOut,      ///< ChaosSeed set but faults compiled out.
   ExplainWithoutPipelining, ///< Explain set but EnablePipelining off.
@@ -129,8 +128,6 @@ struct CompilerOptions {
   /// Validates the combined option set, returning every contradictory or
   /// meaningless combination as a typed finding (empty when coherent):
   /// degenerate knobs (MaxUnroll == 0, a threshold outside (0, 1]),
-  /// incompatible strategies (SearchThreads parallelism under the
-  /// binary-search strategy, whose probes are sequentially dependent),
   /// silently-ignored combos the async API exposes (Explain with
   /// pipelining disabled, an external Tracker alongside inline Budget
   /// ceilings), and knobs whose support was compiled out (ChaosSeed

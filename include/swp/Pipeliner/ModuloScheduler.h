@@ -44,19 +44,12 @@ struct ModuloScheduleOptions {
   /// Limit on overlapped iterations (pipeline stages). 0 = unlimited; 2
   /// reproduces the FPS-164 compiler's two-iteration overlap (section 1).
   unsigned MaxStages = 0;
-  /// Threads for the speculative parallel linear search: a window of
-  /// SearchThreads candidate intervals is attempted concurrently and the
-  /// smallest successful one is committed, so the result is identical to
-  /// the serial linear scan (schedulability need not be monotonic; the
-  /// window only ever runs ahead speculatively). 0 or 1 = serial. Ignored
-  /// under BinarySearch.
-  unsigned SearchThreads = 1;
   /// Optional compile budget (not owned). When set, the search charges
   /// one interval per candidate and one node per placement attempt, and
   /// backs out cooperatively once a ceiling trips: the run reports
   /// BudgetExhausted instead of spinning. When null (the default) the
-  /// scheduler never consults a tracker, so serial and parallel searches
-  /// stay bit-identical to the unbudgeted algorithm.
+  /// scheduler never consults a tracker, so the search stays
+  /// bit-identical to the unbudgeted algorithm.
   BudgetTracker *Budget = nullptr;
 };
 
@@ -89,7 +82,7 @@ struct IntervalFailure {
 /// attempted intervals. The Fail* counters tally rejected intervals by
 /// cause (one increment per failed tryInterval).
 struct SchedulerStats {
-  uint64_t IntervalsTried = 0;   ///< tryInterval calls (incl. speculative).
+  uint64_t IntervalsTried = 0;   ///< tryInterval calls.
   uint64_t SlotsProbed = 0;      ///< MRT canPlace queries.
   uint64_t ComponentRetries = 0; ///< Latest-first rescue attempts.
   uint64_t FailPrecedence = 0;   ///< Attempts lost to an empty range.

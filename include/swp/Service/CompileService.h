@@ -51,7 +51,9 @@ class ThreadPool;
 /// One compile request. The factory is invoked once per actual compile
 /// (compileProgram mutates its input, so every compile needs a fresh
 /// instance); requests whose instances fingerprint equal are served by
-/// one compilation.
+/// one compilation. A factory that throws fails its request, and every
+/// request coalesced onto it, with Ok = false and an error naming the
+/// failure; that result is never memoized.
 struct CompileJob {
   std::function<std::unique_ptr<Program>()> Make;
   const MachineDescription *MD = nullptr;
@@ -138,7 +140,10 @@ private:
   bool memoLookup(const Fingerprint &Key, CompileResult &Out);
   void memoInsert(const Fingerprint &Key, const CompileResult &R);
 
-  CompileResult runCompile(const CompileJob &Job, Program &P);
+  /// Compiles \p P, first building it with Job.Make when it is null. A
+  /// factory that throws leaves \p P null and yields Ok = false with an
+  /// error naming the failure, which callers must not memoize.
+  CompileResult runCompile(const CompileJob &Job, std::unique_ptr<Program> &P);
 
   Config Cfg;
   std::vector<MemoShard> Memo;

@@ -15,11 +15,11 @@
 /// scheduling attempt backs out at its next probe, and the compiler walks
 /// down the degradation ladder (see Compiler.h) instead of hanging.
 ///
-/// The tracker is shared by the serial search and the speculative parallel
-/// search: counters are relaxed atomics, the token is a single flag, and
-/// every charge*() is const-callable from concurrent attempts. When no
-/// ceiling is configured the scheduler never consults a tracker at all,
-/// preserving the bit-identical serial/parallel guarantee untouched.
+/// The tracker may be shared across threads (a session caller cancels a
+/// compile running on a pool worker): counters are relaxed atomics, the
+/// token is a single flag, and every charge*() is const-callable. When no
+/// tracker is attached the scheduler never consults one, so unbudgeted
+/// compiles stay bit-identical to the plain algorithm.
 ///
 //===----------------------------------------------------------------------===//
 

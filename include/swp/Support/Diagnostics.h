@@ -44,10 +44,9 @@ struct Diagnostic {
 };
 
 /// Collects diagnostics produced while processing one input. Thread-safe:
-/// one engine may be shared across compile workers (the speculative
-/// parallel II search and the bench harness report into a single engine),
-/// so every accessor serializes on an internal mutex. diagnostics()
-/// returns a snapshot rather than a reference for the same reason.
+/// one engine may be shared by compiles running on several threads, so
+/// every accessor serializes on an internal mutex. diagnostics() returns
+/// a snapshot rather than a reference for the same reason.
 class DiagnosticEngine {
 public:
   void error(SourceLoc Loc, std::string Message) {

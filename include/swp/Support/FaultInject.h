@@ -8,10 +8,10 @@
 /// Deterministic, seed-addressable fault injection for robustness testing.
 /// The compiler is a heuristic search under hard budgets; this layer lets
 /// tests prove that every internal failure mode — allocation failure,
-/// scheduler slot exhaustion, a lying recurrence bound, a worker thread
-/// stalling or dying mid-search, a corrupted schedule or emission — either
-/// recovers, degrades to a verifier-clean fallback, or surfaces as a
-/// structured failure. Never a crash, never a hang.
+/// scheduler slot exhaustion, a lying recurrence bound, a corrupted
+/// schedule or emission — either recovers, degrades to a verifier-clean
+/// fallback, or surfaces as a structured failure. Never a crash, never a
+/// hang.
 ///
 /// Addressing: each fault point in the compiler is a \c Site. A chaos seed
 /// names exactly one (site, occurrence) pair via \c chaosSeed(), so a
@@ -36,7 +36,6 @@
 #define SWP_SUPPORT_FAULTINJECT_H
 
 #include <cstdint>
-#include <stdexcept>
 
 /// Compile-time master switch. Off removes every fault probe from the
 /// binary; the runtime API degrades to no-ops that report !compiledIn().
@@ -52,26 +51,13 @@ enum class Site : uint8_t {
   OomAllocation,  ///< Allocation failure entering a loop's pipeline attempt.
   SlotExhaustion, ///< Scheduler attempt rejected as if every slot clashed.
   RecMIIInflate,  ///< Recurrence bound artificially inflated (worse II).
-  WorkerStall,    ///< Parallel-search worker sleeps mid-task.
-  WorkerDeath,    ///< Parallel-search worker throws mid-task.
   CorruptSchedule,///< Modulo schedule perturbed before ParanoidVerify.
   CorruptEmission,///< Emitted region perturbed before the emission check.
 };
-constexpr unsigned NumSites = 7;
+constexpr unsigned NumSites = 5;
 
-/// Stable lowercase tag for a site ("worker-death").
+/// Stable lowercase tag for a site ("corrupt-emission").
 const char *siteName(Site S);
-
-/// The exception a WorkerDeath fault throws inside a pool task. Distinct
-/// from real failures so containment tests can tell them apart.
-class InjectedFault : public std::runtime_error {
-public:
-  explicit InjectedFault(Site S);
-  Site site() const { return S; }
-
-private:
-  Site S;
-};
 
 /// True when the binary contains fault probes.
 constexpr bool compiledIn() { return SWP_FAULTS_ENABLED != 0; }

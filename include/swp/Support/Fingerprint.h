@@ -15,10 +15,9 @@
 ///     id-identical programs may share a result; names are excluded);
 ///   - the MachineDescription's resource table and per-opcode latency /
 ///     reservation data (not its display name or clock rate);
-///   - every schedule-relevant CompilerOptions field (not ChaosSeed,
-///     verification, explanation, or thread-count knobs: those change how
-///     the answer is obtained or reported, never the answer itself —
-///     SearchThreads in particular is contractually bit-identical).
+///   - every schedule-relevant CompilerOptions field (not budgets,
+///     ChaosSeed, verification, or explanation knobs: those change how the
+///     answer is obtained or reported, never the answer itself).
 ///
 /// The hash itself is a fixed, platform-independent function (splitmix64
 /// finalization over absorbed 64-bit words), so equal inputs fingerprint
@@ -132,8 +131,8 @@ Fingerprint fingerprintMachine(const MachineDescription &MD);
 /// code: EnablePipelining, MVE, MaxUnroll, EfficiencyThreshold,
 /// MaxLoopLenToPipeline, ScalarOptimizations, PipelineConditionalLoops,
 /// MinLadderRung, and the search policy (Sched.BinarySearch,
-/// Sched.MaxStages, Sched.MaxII). Excludes SearchThreads (bit-identical
-/// by contract), budgets, chaos seeds, and report-shaping flags.
+/// Sched.MaxStages, Sched.MaxII). Excludes budgets, chaos seeds, and
+/// report-shaping flags.
 Fingerprint fingerprintScheduleOptions(const CompilerOptions &Opts);
 
 /// Id-sensitive whole-program fingerprint: raw vreg/array ids plus the

@@ -6,27 +6,21 @@
 ///
 /// \file
 /// A small fixed-size thread pool used by the parallel layers: the
-/// speculative parallel II search in the modulo scheduler, the parallel
-/// workload compilation in the bench harness, and the batched compile
-/// service. Tasks are plain std::function<void()>.
+/// parallel workload compilation in the bench harness, the batched
+/// compile service, and the async session API. Tasks are plain
+/// std::function<void()>.
 ///
 /// Completion is tracked per TaskGroup: enqueue(Group, Task) charges the
 /// task to the group and wait(Group) blocks until that group alone has
 /// drained. While waiting, the caller *helps* — it pops and runs queued
 /// tasks (from any group) instead of sleeping — so nested parallelism is
 /// deadlock-free: a pool task may itself enqueue a group into the same
-/// pool and wait on it, which is what happens when the compile service
-/// runs a batch whose compiles each run a speculative parallel II search
-/// on the shared process-wide pool (see global()).
+/// pool and wait on it (see global()).
 ///
-/// The groupless enqueue()/wait() pair is the legacy whole-pool barrier;
-/// it does not help and must not be used from inside a pool task.
-///
-/// Schedule failures are reported through the task's captured state; an
-/// exception that does escape a task is contained — the worker survives,
-/// the task counts as aborted (tasksAborted()), and waits still return —
-/// so a dying speculative attempt degrades the search instead of taking
-/// the process down.
+/// Failures are reported through the task's captured state; an exception
+/// that does escape a task is contained — the worker survives, the task
+/// counts as aborted (tasksAborted()), and waits still return — so one
+/// bad task cannot take the process down.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,9 +63,9 @@ public:
   ThreadPool &operator=(const ThreadPool &) = delete;
 
   /// The lazily-initialized process-wide pool (one worker per hardware
-  /// thread), shared by the speculative II search, runJobs, and the
-  /// compile service so repeated harness invocations stop paying thread
-  /// spawn cost. Never destroyed: workers idle until process exit.
+  /// thread), shared by runJobs, the compile service, and sessions so
+  /// repeated harness invocations stop paying thread spawn cost. Never
+  /// destroyed: workers idle until process exit.
   static ThreadPool &global();
 
   /// Number of worker threads.
@@ -85,15 +79,8 @@ public:
   /// point-in-time caveat as queueDepth().
   size_t activeWorkers() const;
 
-  /// Queues \p Task for execution on some worker.
-  void enqueue(std::function<void()> Task);
-
   /// Queues \p Task charged to \p Group.
   void enqueue(TaskGroup &Group, std::function<void()> Task);
-
-  /// Blocks until the queue is empty and no task is running. Whole-pool
-  /// barrier; never call from inside a pool task.
-  void wait();
 
   /// Blocks until every task charged to \p Group has finished, running
   /// queued tasks on the calling thread while it waits (helping), so
@@ -111,8 +98,8 @@ public:
   }
 
   /// Tasks whose exception was contained since construction. A nonzero
-  /// count means some speculative work was lost, not that state was
-  /// corrupted: tasks own their captured state exclusively.
+  /// count means some task's work was lost, not that state was corrupted:
+  /// tasks own their captured state exclusively.
   uint64_t tasksAborted() const {
     return Aborted.load(std::memory_order_relaxed);
   }
@@ -123,7 +110,7 @@ public:
 private:
   struct Item {
     std::function<void()> Fn;
-    TaskGroup *Group; ///< Null for groupless tasks.
+    TaskGroup *Group;
   };
 
   void workerLoop();
@@ -135,8 +122,6 @@ private:
   std::deque<Item> Queue;
   mutable std::mutex Mu;
   std::condition_variable WorkReady; ///< Queue grew or Stop was set.
-  std::condition_variable AllDone;   ///< Outstanding dropped to zero.
-  size_t Outstanding = 0;            ///< Queued plus running tasks.
   size_t Running = 0;                ///< Tasks inside runItem right now.
   bool Stop = false;
 };

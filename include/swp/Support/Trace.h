@@ -9,8 +9,8 @@
 /// simulator, in the spirit of LLVM's -ftime-trace: RAII spans and instant
 /// events are collected into per-thread ring buffers and flushed on
 /// session stop as Chrome trace-event JSON, loadable in Perfetto or
-/// chrome://tracing. Each thread gets its own track (tid), so the
-/// speculative parallel II search shows wasted speculative work directly.
+/// chrome://tracing. Each thread gets its own track (tid), so work the
+/// thread pool spreads over its workers shows up per worker.
 ///
 /// Cost model:
 ///   - compile-time off (-DSWP_TRACE_ENABLED=0): every macro expands to

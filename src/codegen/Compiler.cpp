@@ -161,9 +161,12 @@ private:
                             int Period, unsigned LoopId, PhysReg Counter,
                             unsigned NodesPerCopy = 0, unsigned AguStep = 1);
 
+  /// Modulo-schedules and emits the loop. \p LocalSched and
+  /// \p UnpipelinedPeriod are the plain graph's list schedule and period,
+  /// which the remainder and short-trip-count versions reuse.
   bool tryEmitPipelined(ForStmt &For, const std::vector<ScheduleUnit> &Units,
-                        const DepGraph &PlainG, int UnpipelinedPeriod,
-                        LoopReport &Report);
+                        const DepGraph &PlainG, const Schedule &LocalSched,
+                        int UnpipelinedPeriod, LoopReport &Report);
 
   /// Emits the loop's code on one rung of the degradation ladder (List,
   /// UnrolledList, or Sequential). Returns false — without emitting
@@ -178,6 +181,10 @@ private:
 
   /// Trip count n = hi - lo + 1 as a scratch register (runtime bounds).
   PhysReg emitTripCount(const ForStmt &For);
+
+  /// Emits one instruction, at the cursor, setting the loop variable to
+  /// its lower bound.
+  void emitLoopVarInit(const ForStmt &For);
 
   /// Local register allocation for an unpipelined loop: circular-arc
   /// sharing on the period. Returns false on file overflow.
@@ -509,6 +516,17 @@ PhysReg CompilerImpl::emitTripCount(const ForStmt &For) {
   return emitIBin(Opcode::ISub, Hi, LoMinus1);
 }
 
+void CompilerImpl::emitLoopVarInit(const ForStmt &For) {
+  AguOp Init;
+  Init.LoopId = For.LoopId;
+  if (For.Lo.IsImm)
+    Init.Imm = For.Lo.Imm;
+  else
+    Init.A = RA.regFor(For.Lo.Reg.Id);
+  emitAgu(Cursor++, Init);
+  Frontier = std::max(Frontier, Cursor);
+}
+
 size_t CompilerImpl::emitUnpipelinedRun(const DepGraph &G,
                                         const Schedule &Sched, int Period,
                                         unsigned LoopId, PhysReg Counter,
@@ -651,23 +669,7 @@ void CompilerImpl::emitOuterLoop(ForStmt &For) {
     Counter = N;
   }
 
-  // Initialize the loop variable.
-  {
-    size_t At = Cursor;
-    (void)instAt(At);
-    AguOp Init;
-    Init.LoopId = For.LoopId;
-    Init.Relative = false;
-    if (For.Lo.IsImm) {
-      Init.Imm = For.Lo.Imm;
-    } else {
-      Init.A = RA.regFor(For.Lo.Reg.Id);
-    }
-    emitAgu(At, Init);
-    ++Cursor;
-    Frontier = std::max(Frontier, Cursor);
-  }
-
+  emitLoopVarInit(For);
   size_t LoopStart = Cursor;
   emitStmtList(For.Body);
   if (Failed) {
@@ -757,7 +759,8 @@ void CompilerImpl::emitLoop(ForStmt &For) {
   } else {
     // tryEmitPipelined refines Decision/Cause to Pipelined, Fallback, or
     // Degraded (the compile budget tripped mid-search).
-    Pipelined = tryEmitPipelined(For, Units, PlainG, Period, Report);
+    Pipelined =
+        tryEmitPipelined(For, Units, PlainG, LocalSched, Period, Report);
     if (!Pipelined) {
       // Roll back any local register assignments the attempt made.
       RA.endScope();
@@ -907,21 +910,6 @@ bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
   std::optional<int64_t> StaticN = For.staticTripCount();
   size_t LoopInstsBegin = Cursor;
 
-  auto EmitLoopVarInit = [&] {
-    size_t At = Cursor;
-    (void)instAt(At);
-    AguOp Init;
-    Init.LoopId = For.LoopId;
-    Init.Relative = false;
-    if (For.Lo.IsImm)
-      Init.Imm = For.Lo.Imm;
-    else
-      Init.A = RA.regFor(For.Lo.Reg.Id);
-    emitAgu(At, Init);
-    ++Cursor;
-    Frontier = std::max(Frontier, Cursor);
-  };
-
   if (!(StaticN && *StaticN <= 0)) {
     if (U == 1) {
       PhysReg Counter;
@@ -935,7 +923,7 @@ bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
         GuardInst = emitCtrl(ControlOp::Kind::JumpIfZero, Pos);
         Counter = N;
       }
-      EmitLoopVarInit();
+      emitLoopVarInit(For);
       emitUnpipelinedRun(*G, *Sched, AllocPeriod, For.LoopId, Counter);
       if (GuardInst != SIZE_MAX)
         patchTarget(GuardInst, Cursor);
@@ -946,7 +934,7 @@ bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
       int64_t N = *StaticN;
       int64_t Rem = N % U;
       int64_t Kp = N / U;
-      EmitLoopVarInit();
+      emitLoopVarInit(For);
       if (Rem > 0)
         emitUnpipelinedRun(PlainG, LocalSched, PlainPeriod, For.LoopId,
                            emitIConst(Rem));
@@ -960,7 +948,7 @@ bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
       PhysReg UC = emitIConst(U);
       PhysReg Rem = emitIBin(Opcode::IMod, N, UC);
       PhysReg Kp = emitIBin(Opcode::IDiv, N, UC);
-      EmitLoopVarInit();
+      emitLoopVarInit(For);
       PhysReg Zero = emitIConst(0);
       PhysReg PosRem = emitIBin(Opcode::ICmpLT, Zero, Rem);
       size_t SkipRem = emitCtrl(ControlOp::Kind::JumpIfZero, PosRem);
@@ -981,6 +969,7 @@ bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
 bool CompilerImpl::tryEmitPipelined(ForStmt &For,
                                     const std::vector<ScheduleUnit> &Units,
                                     const DepGraph &PlainG,
+                                    const Schedule &LocalSched,
                                     int UnpipelinedPeriod,
                                     LoopReport &Report) {
   // Chaos: allocation failure entering the pipeline attempt. Propagates
@@ -1130,26 +1119,6 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
   emitPreheader(For);
   size_t LoopInstsBegin = Cursor;
 
-  // Locally compacted version for the remainder and for short trip counts.
-  Schedule LocalSched = listSchedule(PlainG, MD);
-  int Period = std::max(unpipelinedPeriod(PlainG, LocalSched),
-                        LocalSched.spanLength(PlainG));
-
-  auto EmitLoopVarInit = [&] {
-    size_t At = Cursor;
-    (void)instAt(At);
-    AguOp Init;
-    Init.LoopId = For.LoopId;
-    Init.Relative = false;
-    if (For.Lo.IsImm)
-      Init.Imm = For.Lo.Imm;
-    else
-      Init.A = RA.regFor(For.Lo.Reg.Id);
-    emitAgu(At, Init);
-    ++Cursor;
-    Frontier = std::max(Frontier, Cursor);
-  };
-
   auto EmitPipelinedBody = [&](PhysReg KernelCounter) {
     size_t Base = Cursor;
     // Prolog: windows 0..M-2.
@@ -1243,8 +1212,9 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
       Report.Cause = FallbackCause::ShortTripCount;
       Report.Rung = ScheduleRung::List;
       PhysReg Counter = emitIConst(N);
-      EmitLoopVarInit();
-      emitUnpipelinedRun(PlainG, LocalSched, Period, For.LoopId, Counter);
+      emitLoopVarInit(For);
+      emitUnpipelinedRun(PlainG, LocalSched, UnpipelinedPeriod, For.LoopId,
+                         Counter);
       Report.TotalLoopInsts = Cursor - LoopInstsBegin;
       padDrain();
       return true;
@@ -1252,10 +1222,11 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
     int64_t T1 = N - (M - 1);
     int64_t Rem = T1 % U;
     int64_t Kp = T1 / U;
-    EmitLoopVarInit();
+    emitLoopVarInit(For);
     if (Rem > 0) {
       PhysReg Counter = emitIConst(Rem);
-      emitUnpipelinedRun(PlainG, LocalSched, Period, For.LoopId, Counter);
+      emitUnpipelinedRun(PlainG, LocalSched, UnpipelinedPeriod, For.LoopId,
+                         Counter);
     }
     PhysReg KernelCounter = emitIConst(Kp);
     EmitPipelinedBody(KernelCounter);
@@ -1285,10 +1256,10 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
 
   PhysReg Rem = emitIBin(Opcode::IMod, T1, UC);
   PhysReg Kp = emitIBin(Opcode::IDiv, T1, UC);
-  EmitLoopVarInit();
+  emitLoopVarInit(For);
   PhysReg PosRem = emitIBin(Opcode::ICmpLT, Zero, Rem);
   size_t SkipRem = emitCtrl(ControlOp::Kind::JumpIfZero, PosRem);
-  emitUnpipelinedRun(PlainG, LocalSched, Period, For.LoopId, Rem);
+  emitUnpipelinedRun(PlainG, LocalSched, UnpipelinedPeriod, For.LoopId, Rem);
   patchTarget(SkipRem, Cursor);
   EmitPipelinedBody(Kp);
   size_t ToDone = emitCtrl(ControlOp::Kind::Jump);
@@ -1297,8 +1268,8 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
   patchTarget(ToUnpipelined, Cursor);
   PhysReg PosN = emitIBin(Opcode::ICmpLT, Zero, N);
   size_t SkipAll = emitCtrl(ControlOp::Kind::JumpIfZero, PosN);
-  EmitLoopVarInit();
-  emitUnpipelinedRun(PlainG, LocalSched, Period, For.LoopId, N);
+  emitLoopVarInit(For);
+  emitUnpipelinedRun(PlainG, LocalSched, UnpipelinedPeriod, For.LoopId, N);
   patchTarget(SkipAll, Cursor);
   patchTarget(ToDone, Cursor);
   Report.TotalLoopInsts = Cursor - LoopInstsBegin;
@@ -1356,8 +1327,6 @@ const char *swp::optionErrorKindText(OptionErrorKind K) {
     return "bad-loop-len-cap";
   case OptionErrorKind::BadEfficiencyThreshold:
     return "bad-efficiency-threshold";
-  case OptionErrorKind::ParallelBinarySearch:
-    return "parallel-binary-search";
   case OptionErrorKind::BadLadderRung:
     return "bad-ladder-rung";
   case OptionErrorKind::ChaosCompiledOut:
@@ -1383,10 +1352,6 @@ std::vector<OptionDiag> swp::CompilerOptions::validate() const {
   if (!(EfficiencyThreshold > 0.0) || EfficiencyThreshold > 1.0)
     Reject(OptionErrorKind::BadEfficiencyThreshold,
            "EfficiencyThreshold must lie in (0, 1]");
-  if (Sched.BinarySearch && Sched.SearchThreads > 1)
-    Reject(OptionErrorKind::ParallelBinarySearch,
-           "SearchThreads > 1 is incompatible with BinarySearch (its "
-           "probes are sequentially dependent)");
   if (MinLadderRung > 2)
     Reject(OptionErrorKind::BadLadderRung,
            "MinLadderRung must be 0 (full), 1 (unrolled list), or 2 "

@@ -64,8 +64,6 @@ void printUsage(std::ostream &OS) {
         "target when no --target is given)\n"
         "  --list-targets      print every registered target name and "
         "exit\n"
-        "  --search-threads=N  speculative parallel II search on N "
-        "threads (same schedules; with --trace, one track per worker)\n"
         "  --budget-ms=N       compile wall-clock budget; on expiry loops "
         "degrade (exit 4) instead of hanging\n"
         "  --max-intervals=N   budget on candidate IIs tried across the "
@@ -273,7 +271,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
   bool Json = false;
   bool Explain = false;
   bool Utilization = false;
-  unsigned SearchThreads = 1;
   CompileBudget Budget;
   uint64_t ChaosSeed = 0;
   unsigned MinLadderRung = 0;
@@ -322,14 +319,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
       }
     } else if (Arg == "--list-targets") {
       ListTargets = true;
-    } else if (Arg.rfind("--search-threads=", 0) == 0) {
-      if (!parseCount(Arg, 17, "--search-threads", 64, N, Err))
-        return W2CExitUsage;
-      if (N == 0) {
-        Err << "error: --search-threads needs a count in [1, 64]\n";
-        return W2CExitUsage;
-      }
-      SearchThreads = static_cast<unsigned>(N);
     } else if (Arg.rfind("--budget-ms=", 0) == 0) {
       if (!parseCount(Arg, 12, "--budget-ms", UINT64_MAX, N, Err))
         return W2CExitUsage;
@@ -459,7 +448,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
   Opts.Budget = Budget;
   Opts.ChaosSeed = ChaosSeed;
   Opts.MinLadderRung = MinLadderRung;
-  Opts.Sched.SearchThreads = SearchThreads;
 
   if (Batch)
     return runBatch(Paths, Reg, Target, Opts, Stats, Json, Utilization,

@@ -8,9 +8,7 @@
 // closures, per-component intra-edge lists in local indices, condensation
 // edges and in-degrees, and (for acyclic graphs) the condensation heights.
 // tryInterval is const and touches only flat vectors indexed by local or
-// component id, which makes the speculative parallel II search a matter of
-// running several intervals on a thread pool and committing the smallest
-// successful one.
+// component id, so the linear scan over s re-runs only the placement work.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,13 +18,11 @@
 #include "swp/Sched/ListScheduler.h"
 #include "swp/Sched/ReservationTables.h"
 #include "swp/Support/FaultInject.h"
-#include "swp/Support/ThreadPool.h"
 #include "swp/Support/Trace.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 using namespace swp;
 
@@ -43,8 +39,7 @@ double secondsSince(Clock::time_point Start) {
 
 /// Shared preprocessing (SCCs, symbolic closures, priorities, intra- and
 /// inter-component edge lists) plus the per-interval scheduling attempt.
-/// tryInterval is const and allocates its own scratch, so concurrent
-/// attempts at different intervals are safe.
+/// tryInterval is const and allocates its own scratch.
 class SchedulerImpl {
 public:
   SchedulerImpl(const DepGraph &G, const MachineDescription &MD,
@@ -70,7 +65,7 @@ private:
   enum class SlotOrder { EarliestFirst, LatestFirst };
 
   /// Reusable per-attempt buffers, all indexed by local (within-component)
-  /// id. One instance per tryInterval call keeps the attempt thread-safe.
+  /// id. One instance per tryInterval call.
   struct ComponentScratch {
     std::vector<unsigned> PredsLeft;
     std::vector<int64_t> Earliest, Latest, Placed;
@@ -628,64 +623,16 @@ ModuloScheduleResult swp::moduloSchedule(const DepGraph &G,
   }
 
   if (!Opts.BinarySearch) {
-    unsigned Threads = std::max(1u, Opts.SearchThreads);
-    if (Threads == 1 || MaxII == Result.MII) {
-      // Linear search: schedulability is not monotonic in s, and on Warp
-      // the lower bound is usually achievable (section 2.2).
-      for (unsigned S = Result.MII; S <= MaxII; ++S) {
-        if (Opts.Budget && Opts.Budget->cancelled())
-          break;
-        if (std::optional<Schedule> Sched =
-                Impl.tryInterval(S, Result.Stats)) {
-          Result.Success = true;
-          Result.Sched = std::move(*Sched);
-          Result.II = S;
-          break;
-        }
-      }
-    } else {
-      // Speculative parallel linear search: attempt a window of candidate
-      // intervals concurrently and commit the smallest successful one —
-      // exactly what the serial scan would have returned, since the scan
-      // stops at the first (i.e. smallest) success and later intervals
-      // are only ever probed speculatively. Work runs on the process-wide
-      // pool (the window width stays SearchThreads; the pool's group wait
-      // helps, so a search nested inside a pool task cannot deadlock).
-      ThreadPool &Pool = ThreadPool::global();
-      unsigned Base = Result.MII;
-      while (Base <= MaxII && !Result.Success &&
-             !(Opts.Budget && Opts.Budget->cancelled())) {
-        unsigned Count = std::min(Threads, MaxII - Base + 1);
-        SWP_TRACE_SPAN(WindowSpan, "searchWindow");
-        if (WindowSpan.active()) {
-          char Buf[64];
-          std::snprintf(Buf, sizeof(Buf), "\"base_ii\": %u, \"width\": %u",
-                        Base, Count);
-          WindowSpan.args(Buf);
-        }
-        std::vector<std::optional<Schedule>> Window(Count);
-        std::vector<SchedulerStats> WindowStats(Count);
-        Pool.parallelFor(Count, [&](size_t I) {
-          // Chaos: a stalled worker delays only its own window slot; a
-          // dying worker is contained by the pool and its slot reads as a
-          // failed attempt, so the search degrades to a larger interval
-          // instead of crashing.
-          if (faults::shouldFire(faults::Site::WorkerStall))
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          if (faults::shouldFire(faults::Site::WorkerDeath))
-            throw faults::InjectedFault(faults::Site::WorkerDeath);
-          Window[I] = Impl.tryInterval(Base + static_cast<unsigned>(I),
-                                       WindowStats[I]);
-        });
-        for (unsigned I = 0; I != Count; ++I) {
-          Result.Stats.merge(WindowStats[I]);
-          if (!Result.Success && Window[I]) {
-            Result.Success = true;
-            Result.Sched = std::move(*Window[I]);
-            Result.II = Base + I;
-          }
-        }
-        Base += Count;
+    // Linear search: schedulability is not monotonic in s, and on Warp
+    // the lower bound is usually achievable (section 2.2).
+    for (unsigned S = Result.MII; S <= MaxII; ++S) {
+      if (Opts.Budget && Opts.Budget->cancelled())
+        break;
+      if (std::optional<Schedule> Sched = Impl.tryInterval(S, Result.Stats)) {
+        Result.Success = true;
+        Result.Sched = std::move(*Sched);
+        Result.II = S;
+        break;
       }
     }
   } else {

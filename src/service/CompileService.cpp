@@ -11,6 +11,7 @@
 #include "swp/Support/Trace.h"
 
 #include <cassert>
+#include <exception>
 #include <sstream>
 #include <utility>
 
@@ -40,6 +41,23 @@ struct ServiceMetrics {
     return M;
   }
 };
+
+/// Calls the job's factory. A throw (or a null program) becomes a null
+/// result plus \p Error, so no request leaves compileOne by exception: a
+/// single-flight leader must always publish its flight.
+std::unique_ptr<Program> makeProgram(const CompileJob &Job,
+                                     std::string &Error) {
+  try {
+    if (std::unique_ptr<Program> P = Job.Make())
+      return P;
+    Error = "program factory returned no program";
+  } catch (const std::exception &E) {
+    Error = std::string("program factory failed: ") + E.what();
+  } catch (...) {
+    Error = "program factory failed: unknown exception";
+  }
+  return nullptr;
+}
 
 } // namespace
 
@@ -120,13 +138,17 @@ void CompileService::memoInsert(const Fingerprint &Key,
   }
 }
 
-CompileResult CompileService::runCompile(const CompileJob &Job, Program &P) {
+CompileResult CompileService::runCompile(const CompileJob &Job,
+                                         std::unique_ptr<Program> &P) {
+  CompileResult Failed;
+  if (!P && !(P = makeProgram(Job, Failed.Error)))
+    return Failed;
   Compiles.fetch_add(1, std::memory_order_relaxed);
   ServiceMetrics::get().Compiles.inc();
   CompilerOptions Opts = Job.Opts;
   if (Opts.Tracker == nullptr)
     Opts.Tracker = Job.Tracker;
-  return compileProgram(P, *Job.MD, Opts);
+  return compileProgram(*P, *Job.MD, Opts);
 }
 
 CompileResult CompileService::compileOne(const CompileJob &Job) {
@@ -138,11 +160,10 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
   // Budgeted or chaos-armed compiles are functions of wall-clock / injected
   // faults, not content: compile directly, never share or memoize. A
   // tracker carrying real ceilings is a budgeted compile by another name.
+  std::unique_ptr<Program> P;
   if (Job.Opts.Budget.limited() || Job.Opts.ChaosSeed != 0 ||
-      (Job.Tracker && Job.Tracker->budget().limited())) {
-    std::unique_ptr<Program> Direct = Job.Make();
-    return runCompile(Job, *Direct);
-  }
+      (Job.Tracker && Job.Tracker->budget().limited()))
+    return runCompile(Job, P);
 
   // A cancelled request is answered without materializing the program.
   if (Job.Tracker && Job.Tracker->cancelled()) {
@@ -153,12 +174,13 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
 
   // With a client-provided key the program is built lazily — a memo hit
   // or coalesced wait never materializes it.
-  std::unique_ptr<Program> P;
   Fingerprint Key;
   if (Job.Key) {
     Key = *Job.Key;
   } else {
-    P = Job.Make();
+    CompileResult Failed;
+    if (!(P = makeProgram(Job, Failed.Error)))
+      return Failed;
     Key = jobKey(*P, *Job.MD, Job.Opts);
   }
 
@@ -177,10 +199,8 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
   // did not ask to cancel. They compile directly instead, and the result
   // is shared through the memo only when the tracker never tripped.
   if (Job.Tracker) {
-    if (!P)
-      P = Job.Make();
-    CompileResult R = runCompile(Job, *P);
-    if (Cfg.MemoizeResults && !Job.Tracker->expired())
+    CompileResult R = runCompile(Job, P);
+    if (Cfg.MemoizeResults && P && !Job.Tracker->expired())
       memoInsert(Key, R);
     return R;
   }
@@ -210,10 +230,10 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
     return F->Result;
   }
 
-  if (!P)
-    P = Job.Make();
-  CompileResult R = runCompile(Job, *P);
-  if (Cfg.MemoizeResults)
+  // A failed factory is published to the followers but never memoized:
+  // the next request gets a fresh attempt.
+  CompileResult R = runCompile(Job, P);
+  if (Cfg.MemoizeResults && P)
     memoInsert(Key, R);
   {
     std::lock_guard<std::mutex> Lock(FlightsMu);

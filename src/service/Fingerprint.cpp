@@ -61,10 +61,9 @@ Fingerprint swp::fingerprintScheduleOptions(const CompilerOptions &Opts) {
   H.absorb(Opts.Sched.BinarySearch ? 1u : 0u);
   H.absorb(Opts.Sched.MaxStages);
   H.absorb(Opts.Sched.MaxII);
-  // Deliberately excluded: Sched.SearchThreads (bit-identical to serial
-  // by contract), Budget and ChaosSeed (budgeted and chaos-armed compiles
-  // bypass the memo), ParanoidVerify / Explain (report shape, not code;
-  // jobKey folds them back in).
+  // Deliberately excluded: Budget and ChaosSeed (budgeted and chaos-armed
+  // compiles bypass the memo), ParanoidVerify / Explain (report shape, not
+  // code; jobKey folds them back in).
   return H.finish();
 }
 

@@ -23,10 +23,6 @@ const char *swp::faults::siteName(Site S) {
     return "slot-exhaustion";
   case Site::RecMIIInflate:
     return "recmii-inflate";
-  case Site::WorkerStall:
-    return "worker-stall";
-  case Site::WorkerDeath:
-    return "worker-death";
   case Site::CorruptSchedule:
     return "corrupt-schedule";
   case Site::CorruptEmission:
@@ -34,10 +30,6 @@ const char *swp::faults::siteName(Site S) {
   }
   return "unknown";
 }
-
-InjectedFault::InjectedFault(Site S)
-    : std::runtime_error(std::string("injected fault: ") + siteName(S)),
-      S(S) {}
 
 #if SWP_FAULTS_ENABLED
 

@@ -96,28 +96,13 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> Task) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Queue.push_back({std::move(Task), nullptr});
-    ++Outstanding;
-  }
-  WorkReady.notify_one();
-}
-
 void ThreadPool::enqueue(TaskGroup &Group, std::function<void()> Task) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Queue.push_back({std::move(Task), &Group});
-    ++Outstanding;
     ++Group.Pending;
   }
   WorkReady.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> Lock(Mu);
-  AllDone.wait(Lock, [this] { return Outstanding == 0; });
 }
 
 void ThreadPool::wait(TaskGroup &Group) {
@@ -150,8 +135,7 @@ void ThreadPool::runItem(Item I, std::unique_lock<std::mutex> &Lock) {
   } catch (...) {
     // Contain the failure: the task is charged as aborted and the
     // executing thread keeps serving the queue. Its captured state is
-    // left however far the task got, which for speculative work (the
-    // parallel II search) reads as "this attempt failed".
+    // left however far the task got.
     Aborted.fetch_add(1, std::memory_order_relaxed);
     PoolMetrics::get().TasksAborted.inc();
   }
@@ -162,16 +146,14 @@ void ThreadPool::runItem(Item I, std::unique_lock<std::mutex> &Lock) {
             .count()));
   Lock.lock();
   --Running;
-  if (--Outstanding == 0)
-    AllDone.notify_all();
-  if (I.Group && --I.Group->Pending == 0)
+  if (--I.Group->Pending == 0)
     I.Group->Done.notify_all();
 }
 
 void ThreadPool::workerLoop() {
 #if SWP_TRACE_ENABLED
-  // Label this worker's trace track so speculative II-search and batch
-  // work is attributable. The counter is process-wide: beyond the global
+  // Label this worker's trace track so batch and session work is
+  // attributable. The counter is process-wide: beyond the global
   // pool, tests still construct private pools, and reusing names would
   // merge unrelated tracks.
   static std::atomic<unsigned> WorkerSeq{0};

@@ -13,8 +13,9 @@
 //    compileProgram; a mixed-target batch (one target loaded from the
 //    checked-in JSON file) matches per-target serial references with
 //    per-target memo keys; priorities order the pending queue; cancel
-//    trips cooperatively; option incoherence comes back as typed
-//    OptionDiags; N concurrent sessions stay bit-identical to serial.
+//    trips cooperatively; a throwing program factory resolves its handle
+//    with an error; option incoherence comes back as typed OptionDiags;
+//    N concurrent sessions stay bit-identical to serial.
 //  - The response envelope JSON is locked by a golden snapshot
 //    (tests/goldens/session-response.json, SWP_UPDATE_GOLDENS=1 to
 //    update).
@@ -23,6 +24,7 @@
 
 #include "swp/API/Session.h"
 #include "swp/Codegen/VLIWProgram.h"
+#include "swp/Metrics/Metrics.h"
 #include "swp/Support/Fingerprint.h"
 #include "swp/Support/ThreadPool.h"
 #include "swp/Verify/RandomLoopGen.h"
@@ -30,11 +32,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
 using namespace swp;
 
@@ -333,15 +338,58 @@ TEST(Session, PriorityOrdersPendingQueue) {
   B.Priority = 5;
   C.Make = MakeTagged('c');
   C.Priority = 5;
-  Sess.submit(std::move(A));
-  Sess.submit(std::move(B));
-  Sess.submit(std::move(C));
+  std::vector<CompileHandle> Handles;
+  Handles.push_back(Sess.submit(std::move(A)));
+  Handles.push_back(Sess.submit(std::move(B)));
+  Handles.push_back(Sess.submit(std::move(C)));
   Blocker.release();
-  Sess.waitAll();
+  // Wait on the handles, not waitAll(): a group wait helps run queued
+  // requests on this thread, which would race the worker for the queue.
+  for (const CompileHandle &H : Handles)
+    H.get();
   // Higher priority first; FIFO among equals; the earlier-submitted
   // low-priority request runs last.
   ASSERT_EQ(Order.size(), 3u);
   EXPECT_EQ(std::string(Order.begin(), Order.end()), "bca");
+}
+
+TEST(Session, ThrowingFactoryResolvesWithError) {
+  metrics::setEnabled(true);
+  auto Recorded = [] {
+    metrics::MetricsSnapshot S = metrics::MetricsRegistry::global().snapshot();
+    const metrics::SnapshotCounter *Errors =
+        S.counter("swp_session_outcomes_total", "outcome=\"error\"");
+    const metrics::SnapshotHistogram *Latency =
+        S.histogram("swp_session_latency_us", "priority=\"normal\"");
+    return std::make_pair(Errors ? Errors->Value : 0,
+                          Latency ? Latency->Count : 0);
+  };
+  auto Before = Recorded();
+
+  Session Sess;
+  CompileRequest Req;
+  Req.Make = []() -> std::unique_ptr<Program> {
+    throw std::runtime_error("source unavailable");
+  };
+  CompileHandle H = Sess.submit(std::move(Req));
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!H.ready() && std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(H.ready()) << "the request never resolved";
+  const CompileResponse *Resp = nullptr;
+  ASSERT_NO_THROW(Resp = &H.get()) << "the handle must carry an error "
+                                      "response, not an exception";
+  EXPECT_FALSE(Resp->Ok);
+  EXPECT_FALSE(Resp->Cancelled);
+  EXPECT_NE(Resp->Result.Error.find("program factory failed: "
+                                    "source unavailable"),
+            std::string::npos)
+      << Resp->Result.Error;
+
+  // Exactly one outcome and one latency sample, like any failed request.
+  auto After = Recorded();
+  EXPECT_EQ(After.first - Before.first, 1u);
+  EXPECT_EQ(After.second - Before.second, 1u);
 }
 
 TEST(Session, UnknownTargetFailsFast) {

@@ -29,8 +29,6 @@ namespace {
 /// error.
 void sweepSite(faults::Site Site, unsigned Injections) {
   MachineDescription MD = MachineDescription::warpCell();
-  bool WorkerSite = Site == faults::Site::WorkerStall ||
-                    Site == faults::Site::WorkerDeath;
   unsigned Recovered = 0, Failed = 0;
   for (unsigned I = 0; I != Injections; ++I) {
     // Vary the program and the dynamic occurrence together: early
@@ -41,8 +39,6 @@ void sweepSite(faults::Site Site, unsigned Injections) {
     CompilerOptions Opts;
     Opts.ParanoidVerify = true;
     Opts.ChaosSeed = faults::chaosSeed(Site, I % 8);
-    if (WorkerSite)
-      Opts.Sched.SearchThreads = 3;
     DiagnosticEngine DE;
     CompileResult CR = compileProgram(*W.Prog, MD, Opts, &DE);
     if (CR.Ok) {
@@ -74,8 +70,6 @@ TEST(ChaosSweep, SlotExhaustion) {
 TEST(ChaosSweep, RecMIIInflate) {
   sweepSite(faults::Site::RecMIIInflate, 100);
 }
-TEST(ChaosSweep, WorkerStall) { sweepSite(faults::Site::WorkerStall, 100); }
-TEST(ChaosSweep, WorkerDeath) { sweepSite(faults::Site::WorkerDeath, 100); }
 TEST(ChaosSweep, CorruptSchedule) {
   sweepSite(faults::Site::CorruptSchedule, 100);
 }
@@ -132,21 +126,6 @@ TEST(ChaosSweep, RecMIIInflateStillCorrect) {
   Base.ChaosSeed =
       faults::chaosSeed(faults::Site::RecMIIInflate, /*Occurrence=*/0);
   for (uint64_t Seed : {11ull, 12ull, 13ull}) {
-    DiffOutcome D = runDifferential(randomLoopSpec(Seed), MD, Base);
-    EXPECT_TRUE(D.Ok) << "seed " << Seed << ": " << D.Error;
-  }
-}
-
-TEST(ChaosSweep, WorkerDeathParallelSearchStillCorrect) {
-  // A worker dying mid-search loses one candidate interval, not
-  // correctness: the pool contains the throw, the window slot reads as a
-  // failed interval, and the search continues.
-  MachineDescription MD = MachineDescription::warpCell();
-  CompilerOptions Base;
-  Base.Sched.SearchThreads = 3;
-  Base.ChaosSeed =
-      faults::chaosSeed(faults::Site::WorkerDeath, /*Occurrence=*/0);
-  for (uint64_t Seed : {21ull, 22ull, 23ull}) {
     DiffOutcome D = runDifferential(randomLoopSpec(Seed), MD, Base);
     EXPECT_TRUE(D.Ok) << "seed " << Seed << ": " << D.Error;
   }

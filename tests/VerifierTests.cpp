@@ -394,13 +394,6 @@ TEST(CompilerOptions, FinalizeRejectsInvalidCombinations) {
   EXPECT_NE(CR.Error.find("MaxUnroll"), std::string::npos) << CR.Error;
   EXPECT_TRUE(DE.hasErrors());
 
-  CompilerOptions BadThreads;
-  BadThreads.Sched.BinarySearch = true;
-  BadThreads.Sched.SearchThreads = 4;
-  CR = Compile(BadThreads, nullptr);
-  EXPECT_FALSE(CR.Ok);
-  EXPECT_NE(CR.Error.find("SearchThreads"), std::string::npos) << CR.Error;
-
   CompilerOptions BadEff;
   BadEff.EfficiencyThreshold = 0.0;
   EXPECT_FALSE(Compile(BadEff, nullptr).Ok);
