@@ -19,8 +19,11 @@
 ///   - predicated operations whose guard is false have no effect.
 /// The simulator also audits the code: dynamic resource over-subscription
 /// among active operations, same-cycle write-write collisions on one
-/// register, and out-of-bounds accesses all abort the run with an error,
-/// so scheduler bugs surface as hard failures rather than wrong numbers.
+/// register, two active stores to one address in one cycle, and
+/// out-of-bounds accesses all abort the run with an error. The cell stops
+/// in the cycle of the first error (SimResult::Cycles) and reports that
+/// error, so scheduler bugs surface as hard failures rather than wrong
+/// numbers.
 ///
 //===----------------------------------------------------------------------===//
 

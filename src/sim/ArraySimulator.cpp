@@ -85,10 +85,12 @@ ArrayRunResult swp::simulateLinearArray(const std::vector<ArrayCell> &Cells,
     ++Cycle;
   }
 
-  Out.Ok = true;
   Out.Cycles = Cycle;
   for (size_t I = 0; I != Sims.size(); ++I) {
+    // A halted cell can still fail while its in-flight results drain.
     SimResult R = Sims[I]->takeResult();
+    if (!R.State.Ok && Out.Error.empty())
+      Out.Error = "cell " + std::to_string(I) + ": " + R.State.Error;
     Out.StallCycles.push_back(Sims[I]->stallCycles());
     Out.TotalFlops += R.State.Flops;
     Out.Cells.push_back(std::move(R));
@@ -99,5 +101,6 @@ ArrayRunResult swp::simulateLinearArray(const std::vector<ArrayCell> &Cells,
   Channel &Last = Channels.back();
   Out.ArrayOutput.assign(Last.Data.begin() + Last.ReadCursor,
                          Last.Data.end());
+  Out.Ok = Out.Error.empty();
   return Out;
 }

@@ -9,6 +9,9 @@
 #include "swp/IR/OpSemantics.h"
 #include "swp/IR/OpTraits.h"
 
+#include <algorithm>
+#include <bit>
+
 using namespace swp;
 using namespace swp::simdetail;
 
@@ -16,9 +19,29 @@ CellSim::CellSim(const VLIWProgram &Code, const Program &P,
                  const MachineDescription &MD, const ProgramInput &Input,
                  Channel *In, Channel *Out)
     : Code(Code), P(P), MD(MD), In(In), Out(Out) {
-  UtilBusy.assign(MD.numResources(), 0);
+  unsigned MaxLatency = 1, MaxUseCycle = 0;
+  for (unsigned I = 0; I != NumOpcodes; ++I) {
+    Opcode Opc = static_cast<Opcode>(I);
+    const OpcodeInfo &Info = MD.opcodeInfoAllowIllegal(Opc);
+    Timing[I] = {Info.Latency, isFlopOpcode(Opc), Info.Uses};
+    if (!Info.Legal)
+      continue;
+    MaxLatency = std::max(MaxLatency, Info.Latency);
+    for (const ResourceUse &Use : Info.Uses)
+      MaxUseCycle = std::max(MaxUseCycle, Use.Cycle);
+  }
+  Pending.resize(std::bit_ceil(uint64_t(MaxLatency) + 1));
+  PendingMask = Pending.size() - 1;
+  NumRes = MD.numResources();
+  uint64_t ResRows = std::bit_ceil(uint64_t(MaxUseCycle) + 1);
+  ResMask = ResRows - 1;
+  ResUse.assign(ResRows * NumRes, 0);
+  UtilBusy.assign(NumRes, 0);
+
   FRegs.assign(std::max(1u, MD.registerFileSize(RegClass::Float)), 0.0f);
   IRegs.assign(std::max(1u, MD.registerFileSize(RegClass::Int)), 0);
+  FStamp.assign(FRegs.size(), 0);
+  IStamp.assign(IRegs.size(), 0);
   LoopVars.assign(P.numLoops() + 1, 0);
 
   Result.State.FloatArrays.resize(P.numArrays());
@@ -73,25 +96,24 @@ bool CellSim::predsHold(const MachOp &Op) const {
 
 void CellSim::scheduleWrite(PhysReg Reg, unsigned Latency, float FV,
                             int64_t IV) {
-  Pending[Exec + Latency].push_back({Reg, FV, IV});
+  Pending[(Exec + Latency) & PendingMask].push_back({Reg, FV, IV});
 }
 
 void CellSim::applyWritebacks(uint64_t At) {
-  auto It = Pending.find(At);
-  if (It == Pending.end())
-    return;
-  std::map<std::pair<int, unsigned>, unsigned> Seen;
-  for (const PendingWrite &W : It->second) {
-    auto Key = std::make_pair(static_cast<int>(W.Reg.RC), W.Reg.Index);
-    if (++Seen[Key] > 1)
+  std::vector<PendingWrite> &Slot = Pending[At & PendingMask];
+  for (const PendingWrite &W : Slot) {
+    bool IsFloat = W.Reg.RC == RegClass::Float;
+    uint64_t &Stamp = (IsFloat ? FStamp : IStamp)[W.Reg.Index];
+    if (Stamp == At + 1)
       fail("write-write collision on register index " +
            std::to_string(W.Reg.Index));
-    if (W.Reg.RC == RegClass::Float)
+    Stamp = At + 1;
+    if (IsFloat)
       FRegs[W.Reg.Index] = W.FVal;
     else
       IRegs[W.Reg.Index] = W.IVal;
   }
-  Pending.erase(It);
+  Slot.clear();
 }
 
 int64_t CellSim::evalIndex(const MachOp &Op) const {
@@ -103,16 +125,13 @@ int64_t CellSim::evalIndex(const MachOp &Op) const {
   return V;
 }
 
-void CellSim::auditResources(const MachOp &Op) {
-  const OpcodeInfo &Info = MD.opcodeInfo(Op.Opc);
-  for (const ResourceUse &Use : Info.Uses) {
-    uint64_t At = Exec + Use.Cycle;
-    auto &Row = ResUse[At];
-    if (Row.empty())
-      Row.assign(MD.numResources(), 0);
-    Row[Use.ResId] += Use.Units;
+void CellSim::auditResources(std::span<const ResourceUse> Uses) {
+  for (const ResourceUse &Use : Uses) {
+    unsigned &Reserved =
+        ResUse[((Exec + Use.Cycle) & ResMask) * NumRes + Use.ResId];
+    Reserved += Use.Units;
     UtilBusy[Use.ResId] += Use.Units;
-    if (Row[Use.ResId] > MD.resource(Use.ResId).Units)
+    if (Reserved > MD.resource(Use.ResId).Units)
       fail("resource over-subscription on '" + MD.resource(Use.ResId).Name +
            "'");
   }
@@ -123,11 +142,13 @@ void CellSim::execOp(const MachOp &Op) {
     return;
   if (!predsHold(Op))
     return;
-  auditResources(Op);
+  assert(MD.isLegal(Op.Opc) && "querying an opcode this machine cannot issue");
+  const OpTiming &T = Timing[static_cast<unsigned>(Op.Opc)];
+  auditResources(T.Uses);
   ++Result.State.DynOps;
-  if (isFlopOpcode(Op.Opc))
+  if (T.IsFlop)
     ++Result.State.Flops;
-  const unsigned Lat = MD.opcodeInfo(Op.Opc).Latency;
+  const unsigned Lat = T.Latency;
 
   switch (Op.Opc) {
   case Opcode::FAdd:
@@ -260,18 +281,24 @@ CellSim::Status CellSim::step() {
 
   // Results due at this point of the execution clock land first, so the
   // stall scan and execution read the same register state. (No
-  // double-apply across stalls: the pending list is erased once applied.)
+  // double-apply across stalls: a slot is emptied once applied.) A
+  // collision stops the cell here.
   applyWritebacks(Exec);
+  if (Current == Status::Failed)
+    return Current;
 
   // Flow control: count the channel words this instruction's active ops
-  // need; stall the whole cell when the queues cannot satisfy them.
+  // need; stall the whole cell when the queues cannot satisfy them. Only
+  // Recv and Send have their predicates evaluated here.
   size_t NeedIn = 0, NeedOut = 0;
   for (const MachOp &Op : Inst.Ops) {
+    if (Op.Opc != Opcode::Recv && Op.Opc != Opcode::Send)
+      continue;
     if (!predsHold(Op))
       continue;
     if (Op.Opc == Opcode::Recv)
       ++NeedIn;
-    else if (Op.Opc == Opcode::Send)
+    else
       ++NeedOut;
   }
   if (NeedIn > 0 && !In->canPop(NeedIn)) {
@@ -293,7 +320,6 @@ CellSim::Status CellSim::step() {
     return Current;
   }
   Current = Status::Running;
-  ResUse.erase(ResUse.begin(), ResUse.lower_bound(Exec));
 
   StoresThisCycle.clear();
   SendsThisCycle.clear();
@@ -303,16 +329,17 @@ CellSim::Status CellSim::step() {
       return Current;
   }
 
-  std::map<std::pair<unsigned, int64_t>, unsigned> StoreSeen;
-  for (const StoreCommit &SC : StoresThisCycle) {
-    if (++StoreSeen[{SC.ArrayId, SC.Index}] > 1) {
+  for (auto SC = StoresThisCycle.begin(); SC != StoresThisCycle.end(); ++SC) {
+    if (std::any_of(StoresThisCycle.begin(), SC, [&](const StoreCommit &E) {
+          return E.ArrayId == SC->ArrayId && E.Index == SC->Index;
+        })) {
       fail("two stores to the same address in one cycle");
       return Current;
     }
-    if (SC.IsFloat)
-      Result.State.FloatArrays[SC.ArrayId][SC.Index] = SC.FVal;
+    if (SC->IsFloat)
+      Result.State.FloatArrays[SC->ArrayId][SC->Index] = SC->FVal;
     else
-      Result.State.IntArrays[SC.ArrayId][SC.Index] = SC.IVal;
+      Result.State.IntArrays[SC->ArrayId][SC->Index] = SC->IVal;
   }
   for (float V : SendsThisCycle)
     Out->Data.push_back(V);
@@ -346,14 +373,18 @@ CellSim::Status CellSim::step() {
   }
   }
   PC = NextPC;
+  // No later issue can reserve this cycle, so its row is free for reuse.
+  std::fill_n(ResUse.begin() + (Exec & ResMask) * NumRes, NumRes, 0u);
   ++Cycle;
   ++Exec;
   return Current;
 }
 
 SimResult CellSim::takeResult() {
-  while (!Pending.empty() && Current != Status::Failed)
-    applyWritebacks(Pending.begin()->first);
+  // Everything in flight lands within one turn of the ring, in order.
+  uint64_t End = Exec + Pending.size();
+  for (uint64_t At = Exec; At != End && Current != Status::Failed; ++At)
+    applyWritebacks(At);
   Result.Cycles = Cycle;
   if (Cycle > 0)
     Result.MFLOPS = static_cast<double>(Result.State.Flops) * MD.clockMHz() /

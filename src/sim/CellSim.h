@@ -11,7 +11,8 @@
 
 #include "swp/Sim/Simulator.h"
 
-#include <map>
+#include <array>
+#include <span>
 
 namespace swp {
 namespace simdetail {
@@ -32,7 +33,10 @@ struct Channel {
   bool canPush(size_t N) const { return backlog() + N <= Capacity; }
 };
 
-/// One cell, advanced cycle by cycle.
+/// One cell, advanced cycle by cycle. In-flight results and resource
+/// reservations live in rings sized once from the MachineDescription, and
+/// the per-opcode timing is looked up in a table, so once the reusable
+/// vectors reach their working size a cycle allocates nothing.
 class CellSim {
 public:
   CellSim(const VLIWProgram &Code, const Program &P,
@@ -57,12 +61,20 @@ private:
   void scheduleWrite(PhysReg Reg, unsigned Latency, float FV, int64_t IV);
   void applyWritebacks(uint64_t At);
   int64_t evalIndex(const MachOp &Op) const;
-  void auditResources(const MachOp &Op);
+  void auditResources(std::span<const ResourceUse> Uses);
   void execOp(const MachOp &Op);
 
   const VLIWProgram &Code;
   const Program &P;
   const MachineDescription &MD;
+
+  /// What executing an opcode needs from the machine, indexed by opcode.
+  struct OpTiming {
+    unsigned Latency = 1;
+    bool IsFlop = false;
+    std::span<const ResourceUse> Uses; ///< Into MD's reservation pattern.
+  };
+  std::array<OpTiming, NumOpcodes> Timing;
 
   SimResult Result;
   std::vector<float> FRegs;
@@ -73,8 +85,21 @@ private:
     float FVal;
     int64_t IVal;
   };
-  std::map<uint64_t, std::vector<PendingWrite>> Pending;
-  std::map<uint64_t, std::vector<unsigned>> ResUse;
+  /// Results in flight: those landing at execution cycle At sit in slot
+  /// At & PendingMask. The ring has more slots than the largest latency,
+  /// so an issue never lands in the slot being applied.
+  std::vector<std::vector<PendingWrite>> Pending;
+  uint64_t PendingMask = 0;
+  /// Per register, 1 + the execution cycle of its latest writeback: a
+  /// second landing with the same stamp is a write-write collision.
+  std::vector<uint64_t> FStamp;
+  std::vector<uint64_t> IStamp;
+  /// Units reserved per cycle and resource: row At & ResMask, NumRes
+  /// wide. Rows cover the longest reservation offset and are zeroed when
+  /// Exec moves past them.
+  std::vector<unsigned> ResUse;
+  uint64_t ResMask = 0;
+  unsigned NumRes = 0;
   /// Per-resource busy unit-cycles accumulated over the run, for the
   /// dynamic UtilizationReport. Indexed by resource id.
   std::vector<uint64_t> UtilBusy;

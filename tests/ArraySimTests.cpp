@@ -167,3 +167,34 @@ TEST(ArraySim, MatchesSingleCellSemantics) {
     EXPECT_EQ(R.ArrayOutput[I], Alone.State.OutputQueue[I]);
   EXPECT_EQ(R.Cells[0].State.Flops, Alone.State.Flops);
 }
+
+TEST(ArraySim, CellFailingInTheDrainFailsTheArray) {
+  // The cell halts at cycle 7 with two results still in flight to one
+  // register, both landing at cycle 8: the collision shows only when the
+  // cell's result is drained, and the array must report it.
+  MachineDescription MD = MachineDescription::warpCell();
+  Program P;
+  VLIWProgram Code;
+  Code.Insts.resize(8);
+  MachOp One;
+  One.Opc = Opcode::FConst;
+  One.Def = {RegClass::Float, 0};
+  One.FImm = 1.0;
+  Code.Insts[0].Ops.push_back(One);
+  MachOp Mul;
+  Mul.Opc = Opcode::FMul;
+  Mul.Def = {RegClass::Float, 5};
+  Mul.Uses = {One.Def, One.Def};
+  Code.Insts[1].Ops.push_back(Mul); // Lands at 8.
+  MachOp Two = One;
+  Two.Def = Mul.Def;
+  Code.Insts[7].Ops.push_back(Two); // Also lands at 8.
+  Code.Insts[7].Ctrl.K = ControlOp::Kind::Halt;
+
+  ArrayRunResult R = simulateLinearArray({{&Code, &P, {}}}, MD, {});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "cell 0: cycle 8: write-write collision on register "
+                     "index 5");
+  ASSERT_EQ(R.Cells.size(), 1u);
+  EXPECT_FALSE(R.Cells[0].State.Ok);
+}

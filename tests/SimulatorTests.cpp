@@ -49,6 +49,11 @@ protected:
     M.Uses = {A, B};
     return M;
   }
+  MachOp fmul(PhysReg Def, PhysReg A, PhysReg B) {
+    MachOp M = fadd(Def, A, B);
+    M.Opc = Opcode::FMul;
+    return M;
+  }
   MachOp fstore(int64_t Index, PhysReg Val) {
     MachOp M;
     M.Opc = Opcode::FStore;
@@ -196,6 +201,27 @@ TEST_F(SimFixture, WriteWriteCollisionIsCaught) {
   EXPECT_NE(R.State.Error.find("collision"), std::string::npos);
 }
 
+TEST_F(SimFixture, WriteWriteCollisionStopsTheCell) {
+  // The collision at cycle 9 ends the run there: the out-of-bounds store
+  // at cycle 11 never issues, so its error cannot replace the first one.
+  VLIWProgram Prog;
+  Prog.Insts.resize(12);
+  Prog.Insts[0].Ops.push_back(fconst(f(0), 1.0));
+  MachOp Mul;
+  Mul.Opc = Opcode::FMul;
+  Mul.Def = f(5);
+  Mul.Uses = {f(0), f(0)};
+  Prog.Insts[2].Ops.push_back(Mul);               // Lands at 9.
+  Prog.Insts[8].Ops.push_back(fconst(f(5), 3.0)); // Also lands at 9.
+  Prog.Insts[11].Ops.push_back(fstore(99, f(0)));
+  halt(Prog);
+  SimResult R = run(Prog);
+  EXPECT_FALSE(R.State.Ok);
+  EXPECT_EQ(R.State.Error,
+            "cycle 9: write-write collision on register index 5");
+  EXPECT_EQ(R.Cycles, 9u);
+}
+
 TEST_F(SimFixture, SameCycleStoresToOneAddressAreCaught) {
   MD = MachineDescription::scaledWarpCell(2); // Two memory ports.
   VLIWProgram Prog;
@@ -295,6 +321,67 @@ TEST_F(SimFixture, PendingWritesDrainAfterHalt) {
   ASSERT_TRUE(R.State.Ok) << R.State.Error;
   EXPECT_EQ(R.Cycles, 3u);
   EXPECT_EQ(R.State.Flops, 1u);
+}
+
+/// A machine whose multiply lands 40 cycles after issue and reserves its
+/// unit 20 cycles after issue, further out than anything on the Warp
+/// cell: the simulator's rings must be sized from the machine. The add
+/// takes the same unit in its issue cycle.
+MachineDescription slowMultiplyCell() {
+  MachineDescription MD;
+  unsigned Alu = MD.addResource("alu", 1);
+  unsigned Slow = MD.addResource("slow", 1);
+  unsigned Mem = MD.addResource("mem", 1);
+  MD.setOpcodeInfo(Opcode::FConst,
+                   OpcodeInfo{1, {{Alu, 0, 1}}, RegClass::Float, 0, false});
+  MD.setOpcodeInfo(Opcode::FMul,
+                   OpcodeInfo{40, {{Slow, 20, 1}}, RegClass::Float, 2, true});
+  MD.setOpcodeInfo(Opcode::FAdd,
+                   OpcodeInfo{1, {{Slow, 0, 1}}, RegClass::Float, 2, true});
+  MD.setOpcodeInfo(Opcode::FStore,
+                   OpcodeInfo{1, {{Mem, 0, 1}}, RegClass::None, 1, false});
+  return MD;
+}
+
+TEST_F(SimFixture, LongLatencyLandsExactlyAtLatency) {
+  MD = slowMultiplyCell();
+  VLIWProgram Prog;
+  Prog.Insts.resize(42);
+  Prog.Insts[0].Ops.push_back(fconst(f(0), 3.0));
+  // One multiply per word from cycle 1 to 20: their reservations at +20
+  // are all outstanding at once and must not meet in one row.
+  for (unsigned C = 1; C <= 20; ++C)
+    Prog.Insts[C].Ops.push_back(fmul(f(1), f(0), f(0))); // Lands at C + 40.
+  Prog.Insts[40].Ops.push_back(fstore(0, f(1))); // Issue + 39: sees 0.
+  Prog.Insts[41].Ops.push_back(fstore(1, f(1))); // Issue + 40: sees 9.
+  halt(Prog);
+  SimResult R = run(Prog);
+  ASSERT_TRUE(R.State.Ok) << R.State.Error;
+  EXPECT_FLOAT_EQ(R.State.FloatArrays[Arr][0], 0.0f);
+  EXPECT_FLOAT_EQ(R.State.FloatArrays[Arr][1], 9.0f);
+  EXPECT_EQ(R.State.Flops, 20u);
+  EXPECT_EQ(R.Util.Resources[1].BusyUnitCycles, 20u);
+}
+
+TEST_F(SimFixture, FarReservationOverSubscriptionIsCaught) {
+  // A multiply at cycle 1 holds the unit at cycle 21. A second multiply
+  // in the same word collides there, and so does an add issued at cycle
+  // 21 itself; each is reported in the cycle the second op issues.
+  MD = slowMultiplyCell();
+  for (unsigned Second : {1u, 21u}) {
+    VLIWProgram Prog;
+    Prog.Insts.resize(Second + 1);
+    Prog.Insts[0].Ops.push_back(fconst(f(0), 3.0));
+    Prog.Insts[1].Ops.push_back(fmul(f(1), f(0), f(0)));
+    Prog.Insts[Second].Ops.push_back(Second == 1 ? fmul(f(2), f(0), f(0))
+                                                 : fadd(f(2), f(0), f(0)));
+    halt(Prog);
+    SimResult R = run(Prog);
+    EXPECT_FALSE(R.State.Ok);
+    EXPECT_EQ(R.State.Error, "cycle " + std::to_string(Second) +
+                                 ": resource over-subscription on 'slow'");
+    EXPECT_EQ(R.Cycles, Second);
+  }
 }
 
 } // namespace
