@@ -15,7 +15,9 @@
 // The simulator's dynamic output is locked the same way: livermore-sim.json
 // holds, per Livermore kernel and summed over 256 random loops, the cycle
 // and stall counts, ops issued, flops, busy unit-cycles per resource and a
-// digest of the final arrays.
+// digest of the final arrays. The emitted code itself is locked in
+// emitted-code.json: a raw digest of every instruction field per program,
+// so a compiler rewrite that must not change its output can prove it.
 //
 // To update after an intentional schema or scheduler change:
 //   SWP_UPDATE_GOLDENS=1 ./build/tests/test_report_snapshot
@@ -142,6 +144,105 @@ std::string simRow(const std::string &Name, const UtilizationReport &Util,
          Name + "\", \"util\": " + Util.toJson() + "}";
 }
 
+/// Folds one value's raw bytes into \p H.
+template <typename T> uint64_t fold(uint64_t H, const T &V) {
+  return fnv1a(H, &V, sizeof(V));
+}
+
+uint64_t foldReg(uint64_t H, const PhysReg &R) {
+  H = fold(H, static_cast<uint32_t>(R.RC));
+  return fold(H, static_cast<uint32_t>(R.Index));
+}
+
+/// Folds every field of every instruction of \p Code, its live-in map and
+/// its register high-water marks into \p H. Fields are hashed one by one
+/// as fixed-width integers (never struct bytes, which include padding),
+/// and FImm as its raw bits: the printer rounds immediates.
+uint64_t digestCode(uint64_t H, const VLIWProgram &Code) {
+  H = fold(H, static_cast<uint64_t>(Code.Insts.size()));
+  for (const VLIWInst &I : Code.Insts) {
+    H = fold(H, static_cast<uint64_t>(I.Ops.size()));
+    for (const MachOp &M : I.Ops) {
+      H = fold(H, static_cast<uint32_t>(M.Opc));
+      H = foldReg(H, M.Def);
+      H = fold(H, static_cast<uint64_t>(M.Uses.size()));
+      for (const PhysReg &R : M.Uses)
+        H = foldReg(H, R);
+      H = fold(H, static_cast<uint32_t>(M.ArrayId));
+      H = fold(H, static_cast<uint64_t>(M.Index.Terms.size()));
+      for (const AffineExpr::Term &T : M.Index.Terms) {
+        H = fold(H, static_cast<uint32_t>(T.LoopId));
+        H = fold(H, static_cast<int64_t>(T.Coef));
+      }
+      H = fold(H, static_cast<int64_t>(M.Index.Const));
+      H = fold(H, static_cast<uint32_t>(M.Index.Addend.Id));
+      H = foldReg(H, M.AddendReg);
+      H = fold(H, M.FImm);
+      H = fold(H, static_cast<int64_t>(M.IImm));
+      H = fold(H, static_cast<int32_t>(M.Queue));
+      H = fold(H, static_cast<uint64_t>(M.Preds.size()));
+      for (const PredPhys &PP : M.Preds) {
+        H = foldReg(H, PP.Reg);
+        H = fold(H, static_cast<uint8_t>(PP.Negated));
+      }
+    }
+    H = fold(H, static_cast<uint64_t>(I.Agu.size()));
+    for (const AguOp &A : I.Agu) {
+      H = fold(H, static_cast<uint32_t>(A.LoopId));
+      H = fold(H, static_cast<uint8_t>(A.Relative));
+      H = foldReg(H, A.A);
+      H = fold(H, static_cast<int64_t>(A.Imm));
+    }
+    H = fold(H, static_cast<uint32_t>(I.Ctrl.K));
+    H = fold(H, static_cast<uint32_t>(I.Ctrl.Target));
+    H = foldReg(H, I.Ctrl.Counter);
+  }
+  H = fold(H, static_cast<uint64_t>(Code.LiveInRegs.size()));
+  for (const auto &[Id, R] : Code.LiveInRegs) {
+    H = fold(H, static_cast<uint32_t>(Id));
+    H = foldReg(H, R);
+  }
+  H = fold(H, static_cast<uint32_t>(Code.FloatRegsUsed));
+  return fold(H, static_cast<uint32_t>(Code.IntRegsUsed));
+}
+
+/// Accumulates the emitted-code golden's figures over one or more
+/// compiles: the code digest (chained), code size and the scheduler's
+/// search counters.
+struct CodeRow {
+  uint64_t Digest = 0xcbf29ce484222325ULL;
+  uint64_t CodeSize = 0;
+  uint64_t IntervalsTried = 0;
+  uint64_t SlotsProbed = 0;
+
+  void add(const CompileResult &CR) {
+    Digest = digestCode(Digest, CR.Code);
+    CodeSize += CR.Code.size();
+    IntervalsTried += CR.Report.SchedTotals.IntervalsTried;
+    SlotsProbed += CR.Report.SchedTotals.SlotsProbed;
+  }
+
+  std::string json(const std::string &Name) const {
+    char Hex[19];
+    std::snprintf(Hex, sizeof(Hex), "0x%016" PRIx64, Digest);
+    return "{\"code_fnv1a\": \"" + std::string(Hex) +
+           "\", \"code_size\": " + std::to_string(CodeSize) +
+           ", \"intervals_tried\": " + std::to_string(IntervalsTried) +
+           ", \"name\": \"" + Name +
+           "\", \"slots_probed\": " + std::to_string(SlotsProbed) + "}";
+  }
+};
+
+/// Compiles \p Spec under \p Opts (no diagnostics engine); must succeed.
+CompileResult compileSpec(const WorkloadSpec &Spec,
+                          const CompilerOptions &Opts) {
+  MachineDescription MD = MachineDescription::warpCell();
+  BuiltWorkload W = Spec.Make();
+  CompileResult CR = compileProgram(*W.Prog, MD, Opts);
+  EXPECT_TRUE(CR.Ok) << Spec.Name << ": " << CR.Error;
+  return CR;
+}
+
 const WorkloadSpec *findSpec(const std::vector<WorkloadSpec> &Set,
                              const std::string &Name) {
   for (const WorkloadSpec &S : Set)
@@ -252,4 +353,57 @@ TEST(ReportSnapshot, LivermoreSimulation) {
   std::stringstream SS;
   SS << In.rdbuf();
   EXPECT_EQ(SS.str(), Json) << "simulator output drifted from its golden";
+}
+
+// The emitted code, digested field by field: one row per Livermore kernel
+// and per user program under default options, and one row per option set
+// summed over randomLoopSpec(1..256). A compiler change that claims to
+// leave the output alone must pass this unchanged.
+TEST(ReportSnapshot, EmittedCode) {
+  std::string Json = "[\n";
+  for (const std::vector<WorkloadSpec> *Set :
+       {&livermoreKernels(), &userPrograms()})
+    for (const WorkloadSpec &S : *Set) {
+      CodeRow Row;
+      Row.add(compileSpec(S, CompilerOptions()));
+      Json += Row.json(S.Name) + ",\n";
+    }
+
+  struct OptionSet {
+    const char *Name;
+    CompilerOptions Opts;
+  };
+  std::vector<OptionSet> Sets(6);
+  Sets[0].Name = "default";
+  Sets[1].Name = "no pipelining";
+  Sets[1].Opts.EnablePipelining = false;
+  Sets[2].Name = "MinLadderRung 1";
+  Sets[2].Opts.MinLadderRung = 1;
+  Sets[3].Name = "MinLadderRung 2";
+  Sets[3].Opts.MinLadderRung = 2;
+  Sets[4].Name = "MVE MinRegisters";
+  Sets[4].Opts.MVE = MVEPolicy::MinRegisters;
+  Sets[5].Name = "no scalar optimizations";
+  Sets[5].Opts.ScalarOptimizations = false;
+  for (size_t I = 0; I != Sets.size(); ++I) {
+    CodeRow Row;
+    for (uint64_t Seed = 1; Seed <= 256; ++Seed)
+      Row.add(compileSpec(randomLoopSpec(Seed), Sets[I].Opts));
+    Json += Row.json(std::string("randomLoopSpec(1..256) ") + Sets[I].Name) +
+            (I + 1 == Sets.size() ? "\n" : ",\n");
+  }
+  Json += "]\n";
+
+  std::string Path = std::string(SWP_GOLDEN_DIR) + "/emitted-code.json";
+  if (updateRequested()) {
+    std::ofstream Out(Path);
+    ASSERT_TRUE(Out.good()) << "cannot write " << Path;
+    Out << Json;
+    return;
+  }
+  std::ifstream In(Path);
+  ASSERT_TRUE(In.good()) << "missing golden " << Path;
+  std::stringstream SS;
+  SS << In.rdbuf();
+  EXPECT_EQ(SS.str(), Json) << "emitted code drifted from its golden";
 }
