@@ -8,8 +8,9 @@
 
 #include "swp/IR/OpTraits.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 using namespace swp;
 
@@ -23,83 +24,119 @@ bool isPureOp(Opcode Opc) {
   return true;
 }
 
-/// Collects, for the subtree \p List: every register read (operands,
-/// subscript addends, conditions, nested loop bounds), the def count per
-/// register, the set of arrays stored to, and the loop ids of all loops
-/// inside.
-struct SubtreeInfo {
-  std::set<unsigned> Reads;
-  std::map<unsigned, unsigned> DefCount;
-  std::set<unsigned> StoredArrays;
-  std::set<unsigned> LoopIds;
-  /// Registers whose first access in walk order is a read.
-  std::set<unsigned> ReadBeforeWrite;
+/// Summary of one loop body for the hoister, keyed by dense id: per
+/// register its def count and whether its first access in walk order is a
+/// read, the arrays stored to, and the ids of the loops inside. Every
+/// table is sized once per pass; collect() starts a new summary by bumping
+/// the epoch, so an entry counts only when its stamp equals the epoch.
+class SubtreeInfo {
+public:
+  explicit SubtreeInfo(const Program &P)
+      : Regs(P.numVRegs()), StoredStamp(P.numArrays(), 0),
+        LoopStamp(P.numLoops(), 0) {}
+
+  /// Summarizes \p List, replacing the previous summary.
+  void collect(const StmtList &List) {
+    ++Epoch;
+    walk(List);
+  }
+
+  unsigned defCount(unsigned Id) const {
+    return Regs[Id].Stamp == Epoch ? Regs[Id].Defs : 0;
+  }
+  bool readBeforeWrite(unsigned Id) const {
+    return Regs[Id].Stamp == Epoch && Regs[Id].ReadFirst;
+  }
+  bool storesTo(unsigned ArrayId) const {
+    return StoredStamp[ArrayId] == Epoch;
+  }
+  bool containsLoop(unsigned LoopId) const {
+    return LoopId < LoopStamp.size() && LoopStamp[LoopId] == Epoch;
+  }
+
+private:
+  struct RegEntry {
+    unsigned Stamp = 0;
+    unsigned Defs = 0;
+    bool ReadFirst = false;
+  };
 
   void noteRead(unsigned Id) {
-    Reads.insert(Id);
-    if (!DefCount.count(Id))
-      ReadBeforeWrite.insert(Id);
+    RegEntry &E = Regs[Id];
+    if (E.Stamp != Epoch)
+      E = {Epoch, 0, true};
   }
-  void noteDef(unsigned Id) { ++DefCount[Id]; }
+  void noteDef(unsigned Id) {
+    RegEntry &E = Regs[Id];
+    if (E.Stamp != Epoch)
+      E = {Epoch, 0, false};
+    ++E.Defs;
+  }
+
+  void walk(const StmtList &List) {
+    for (const StmtPtr &S : List) {
+      if (const auto *Op = dyn_cast<OpStmt>(S.get())) {
+        for (const VReg &R : Op->Op.Operands)
+          noteRead(R.Id);
+        if (Op->Op.Mem.isValid()) {
+          if (Op->Op.Mem.Index.hasAddend())
+            noteRead(Op->Op.Mem.Index.Addend.Id);
+          if (isStore(Op->Op.Opc))
+            StoredStamp[Op->Op.Mem.ArrayId] = Epoch;
+        }
+        if (Op->Op.Def.isValid())
+          noteDef(Op->Op.Def.Id);
+        continue;
+      }
+      if (const auto *If = dyn_cast<IfStmt>(S.get())) {
+        noteRead(If->Cond.Id);
+        walk(If->Then);
+        walk(If->Else);
+        continue;
+      }
+      const auto *For = cast<ForStmt>(S.get());
+      if (!For->Lo.IsImm)
+        noteRead(For->Lo.Reg.Id);
+      if (!For->Hi.IsImm)
+        noteRead(For->Hi.Reg.Id);
+      LoopStamp[For->LoopId] = Epoch;
+      noteDef(For->IndVar.Id);
+      walk(For->Body);
+    }
+  }
+
+  std::vector<RegEntry> Regs;
+  std::vector<unsigned> StoredStamp;
+  std::vector<unsigned> LoopStamp;
+  unsigned Epoch = 0;
 };
 
-void collect(const StmtList &List, SubtreeInfo &Info) {
-  for (const StmtPtr &S : List) {
-    if (const auto *Op = dyn_cast<OpStmt>(S.get())) {
-      for (const VReg &R : Op->Op.Operands)
-        Info.noteRead(R.Id);
-      if (Op->Op.Mem.isValid()) {
-        if (Op->Op.Mem.Index.hasAddend())
-          Info.noteRead(Op->Op.Mem.Index.Addend.Id);
-        if (isStore(Op->Op.Opc))
-          Info.StoredArrays.insert(Op->Op.Mem.ArrayId);
-      }
-      if (Op->Op.Def.isValid())
-        Info.noteDef(Op->Op.Def.Id);
-      continue;
-    }
-    if (const auto *If = dyn_cast<IfStmt>(S.get())) {
-      Info.noteRead(If->Cond.Id);
-      collect(If->Then, Info);
-      collect(If->Else, Info);
-      continue;
-    }
-    const auto *For = cast<ForStmt>(S.get());
-    if (!For->Lo.IsImm)
-      Info.noteRead(For->Lo.Reg.Id);
-    if (!For->Hi.IsImm)
-      Info.noteRead(For->Hi.Reg.Id);
-    Info.LoopIds.insert(For->LoopId);
-    Info.noteDef(For->IndVar.Id);
-    collect(For->Body, Info);
-  }
-}
-
-/// Register reads anywhere in \p List except inside the subtree \p Skip.
-void collectReadsOutside(const StmtList &List, const Stmt *Skip,
-                         std::set<unsigned> &Reads) {
+/// Stamps \p Stamp[v] = \p Epoch for every register v read anywhere in
+/// \p List except inside the subtree \p Skip.
+void markReadsOutside(const StmtList &List, const Stmt *Skip,
+                      std::vector<unsigned> &Stamp, unsigned Epoch) {
   for (const StmtPtr &S : List) {
     if (S.get() == Skip)
       continue;
     if (const auto *Op = dyn_cast<OpStmt>(S.get())) {
       for (const VReg &R : Op->Op.Operands)
-        Reads.insert(R.Id);
+        Stamp[R.Id] = Epoch;
       if (Op->Op.Mem.isValid() && Op->Op.Mem.Index.hasAddend())
-        Reads.insert(Op->Op.Mem.Index.Addend.Id);
+        Stamp[Op->Op.Mem.Index.Addend.Id] = Epoch;
       continue;
     }
     if (const auto *If = dyn_cast<IfStmt>(S.get())) {
-      Reads.insert(If->Cond.Id);
-      collectReadsOutside(If->Then, Skip, Reads);
-      collectReadsOutside(If->Else, Skip, Reads);
+      Stamp[If->Cond.Id] = Epoch;
+      markReadsOutside(If->Then, Skip, Stamp, Epoch);
+      markReadsOutside(If->Else, Skip, Stamp, Epoch);
       continue;
     }
     const auto *For = cast<ForStmt>(S.get());
     if (!For->Lo.IsImm)
-      Reads.insert(For->Lo.Reg.Id);
+      Stamp[For->Lo.Reg.Id] = Epoch;
     if (!For->Hi.IsImm)
-      Reads.insert(For->Hi.Reg.Id);
-    collectReadsOutside(For->Body, Skip, Reads);
+      Stamp[For->Hi.Reg.Id] = Epoch;
+    markReadsOutside(For->Body, Skip, Stamp, Epoch);
   }
 }
 
@@ -109,7 +146,8 @@ void collectReadsOutside(const StmtList &List, const Stmt *Skip,
 
 class Hoister {
 public:
-  explicit Hoister(Program &P) : P(P) {}
+  explicit Hoister(Program &P)
+      : P(P), Info(P), ReadAfterStamp(P.numVRegs(), 0) {}
 
   unsigned run() {
     bool Changed = true;
@@ -142,20 +180,18 @@ private:
   /// Moves eligible ops from \p For's body to before position \p Pos in
   /// \p Parent (advancing \p Pos past the insertions).
   bool hoistFrom(ForStmt &For, StmtList &Parent, size_t &Pos) {
-    SubtreeInfo Info;
-    collect(For.Body, Info);
+    Info.collect(For.Body);
 
     std::optional<int64_t> Trip = For.staticTripCount();
     bool RunsAtLeastOnce = Trip && *Trip >= 1;
-    std::set<unsigned> ReadAfter;
+    ++ReadAfterEpoch;
     if (!RunsAtLeastOnce)
-      collectReadsOutside(P.Body, &For, ReadAfter);
+      markReadsOutside(P.Body, &For, ReadAfterStamp, ReadAfterEpoch);
 
     bool Changed = false;
     for (size_t I = 0; I < For.Body.size();) {
       auto *Op = dyn_cast<OpStmt>(For.Body[I].get());
-      if (!Op || !isEligible(Op->Op, For, Info, RunsAtLeastOnce,
-                             ReadAfter)) {
+      if (!Op || !isEligible(Op->Op, For, RunsAtLeastOnce)) {
         ++I;
         continue;
       }
@@ -167,50 +203,51 @@ private:
       ++Hoisted;
       Changed = true;
       // The body changed: recompute the summary.
-      Info = SubtreeInfo();
-      collect(For.Body, Info);
+      Info.collect(For.Body);
     }
     return Changed;
   }
 
   bool isEligible(const Operation &Op, const ForStmt &For,
-                  const SubtreeInfo &Info, bool RunsAtLeastOnce,
-                  const std::set<unsigned> &ReadAfter) const {
+                  bool RunsAtLeastOnce) const {
     if (!Op.Def.isValid() || !isPureOp(Op.Opc))
       return false;
     // The only definition in the loop, never read before it.
-    auto DC = Info.DefCount.find(Op.Def.Id);
-    if (DC == Info.DefCount.end() || DC->second != 1)
+    if (Info.defCount(Op.Def.Id) != 1)
       return false;
-    if (Info.ReadBeforeWrite.count(Op.Def.Id))
+    if (Info.readBeforeWrite(Op.Def.Id))
       return false;
     // Operands must come from outside the loop.
     for (const VReg &R : Op.Operands)
-      if (Info.DefCount.count(R.Id) || R == For.IndVar)
+      if (Info.defCount(R.Id) != 0 || R == For.IndVar)
         return false;
     if (isLoad(Op.Opc)) {
       // Invariant address, no stores to the array, and the loop provably
       // executes (a speculated load must not fault).
       if (!RunsAtLeastOnce)
         return false;
-      if (Info.StoredArrays.count(Op.Mem.ArrayId))
+      if (Info.storesTo(Op.Mem.ArrayId))
         return false;
       if (Op.Mem.Index.hasAddend() &&
-          Info.DefCount.count(Op.Mem.Index.Addend.Id))
+          Info.defCount(Op.Mem.Index.Addend.Id) != 0)
         return false;
       for (const AffineExpr::Term &T : Op.Mem.Index.Terms)
-        if (T.LoopId == For.LoopId || Info.LoopIds.count(T.LoopId))
+        if (T.LoopId == For.LoopId || Info.containsLoop(T.LoopId))
           return false;
     } else if (Op.Mem.isValid()) {
       return false;
     }
     // Speculating past a zero-trip loop must not change post-loop state.
-    if (!RunsAtLeastOnce && ReadAfter.count(Op.Def.Id))
+    if (!RunsAtLeastOnce && ReadAfterStamp[Op.Def.Id] == ReadAfterEpoch)
       return false;
     return true;
   }
 
   Program &P;
+  SubtreeInfo Info;
+  /// Registers read after the loop being processed (stamped per loop).
+  std::vector<unsigned> ReadAfterStamp;
+  unsigned ReadAfterEpoch = 0;
   unsigned Hoisted = 0;
 };
 
@@ -225,40 +262,40 @@ public:
   unsigned run() {
     bool Changed = true;
     while (Changed) {
-      std::set<unsigned> Live;
-      gatherReads(P.Body, Live);
-      Changed = sweep(P.Body, Live);
+      Live.assign(P.numVRegs(), 0);
+      gatherReads(P.Body);
+      Changed = sweep(P.Body);
     }
     return Removed;
   }
 
 private:
-  void gatherReads(const StmtList &List, std::set<unsigned> &Live) const {
+  void gatherReads(const StmtList &List) {
     forEachStmt(List, [&](const Stmt &S) {
       if (const auto *Op = dyn_cast<OpStmt>(&S)) {
         for (const VReg &R : Op->Op.Operands)
-          Live.insert(R.Id);
+          Live[R.Id] = 1;
         if (Op->Op.Mem.isValid() && Op->Op.Mem.Index.hasAddend())
-          Live.insert(Op->Op.Mem.Index.Addend.Id);
+          Live[Op->Op.Mem.Index.Addend.Id] = 1;
       } else if (const auto *If = dyn_cast<IfStmt>(&S)) {
-        Live.insert(If->Cond.Id);
+        Live[If->Cond.Id] = 1;
       } else {
         const auto *For = cast<ForStmt>(&S);
         if (!For->Lo.IsImm)
-          Live.insert(For->Lo.Reg.Id);
+          Live[For->Lo.Reg.Id] = 1;
         if (!For->Hi.IsImm)
-          Live.insert(For->Hi.Reg.Id);
+          Live[For->Hi.Reg.Id] = 1;
       }
     });
   }
 
-  bool sweep(StmtList &List, const std::set<unsigned> &Live) {
+  bool sweep(StmtList &List) {
     bool Changed = false;
     for (size_t I = 0; I < List.size();) {
       Stmt *S = List[I].get();
       if (auto *Op = dyn_cast<OpStmt>(S)) {
         bool Dead = Op->Op.Def.isValid() && isPureOp(Op->Op.Opc) &&
-                    !Live.count(Op->Op.Def.Id);
+                    !Live[Op->Op.Def.Id];
         if (Dead) {
           List.erase(List.begin() + I);
           ++Removed;
@@ -269,8 +306,8 @@ private:
         continue;
       }
       if (auto *If = dyn_cast<IfStmt>(S)) {
-        Changed |= sweep(If->Then, Live);
-        Changed |= sweep(If->Else, Live);
+        Changed |= sweep(If->Then);
+        Changed |= sweep(If->Else);
         if (If->Then.empty() && If->Else.empty()) {
           List.erase(List.begin() + I);
           ++Removed;
@@ -281,7 +318,7 @@ private:
         continue;
       }
       auto *For = cast<ForStmt>(S);
-      Changed |= sweep(For->Body, Live);
+      Changed |= sweep(For->Body);
       // An empty loop with immediate bounds has no effect at all.
       if (For->Body.empty() && For->Lo.IsImm && For->Hi.IsImm) {
         List.erase(List.begin() + I);
@@ -295,6 +332,8 @@ private:
   }
 
   Program &P;
+  /// Registers read anywhere in the program, by id (one sweep round).
+  std::vector<uint8_t> Live;
   unsigned Removed = 0;
 };
 
@@ -302,9 +341,26 @@ private:
 // Local value numbering.
 //===----------------------------------------------------------------------===//
 
+/// Available expressions of one straight-line list, in flat storage reused
+/// across lists. Each distinct expression key gets a slot: its encoded
+/// words (opcode, operands, immediates, memory reference) in one shared
+/// pool, and the register currently holding its value, if any. A key
+/// registered as available is also recorded against every register it
+/// mentions (and against the array a load reads); redefining a register or
+/// storing to an array makes every expression recorded against it
+/// unavailable, and the record is dropped.
 class ValueNumberer {
 public:
-  explicit ValueNumberer(Program &P) : P(P) {}
+  explicit ValueNumberer(Program &P)
+      : P(P), RegHead(P.numVRegs(), None), ArrayHead(P.numArrays(), None) {
+    // Room for every op of the program in one list; longer keys or more
+    // records still grow the pools.
+    unsigned NumOps = countOps(P.Body);
+    Words.reserve(NumOps * 8);
+    Slots.reserve(NumOps);
+    Uses.reserve(NumOps * 4);
+    Touched.reserve(NumOps * 4);
+  }
 
   unsigned run() {
     process(P.Body);
@@ -312,125 +368,187 @@ public:
   }
 
 private:
-  /// A structural key for one pure operation.
-  struct ExprKey {
-    Opcode Opc;
-    std::vector<unsigned> Operands;
-    int64_t IImm;
-    double FImm;
-    unsigned ArrayId;
-    std::vector<std::pair<unsigned, int64_t>> Terms;
-    int64_t Const;
-    unsigned Addend;
+  static constexpr unsigned None = ~0u;
 
-    bool operator<(const ExprKey &O) const {
-      return std::tie(Opc, Operands, IImm, FImm, ArrayId, Terms, Const,
-                      Addend) < std::tie(O.Opc, O.Operands, O.IImm, O.FImm,
-                                         O.ArrayId, O.Terms, O.Const,
-                                         O.Addend);
-    }
+  struct Slot {
+    unsigned Begin, End; ///< Encoded key words in Words.
+    uint64_t Hash;       ///< Over the words (FImm is compared separately).
+    double FImm;
+    unsigned Holder;     ///< Register holding the value; None = unavailable.
+  };
+  /// One entry of a register's or array's record list.
+  struct Use {
+    unsigned Slot;
+    unsigned Next;
   };
 
-  static ExprKey keyOf(const Operation &Op) {
-    ExprKey K;
-    K.Opc = Op.Opc;
+  /// Encodes \p Op's key into the tail of Words; returns its hash.
+  uint64_t encode(const Operation &Op) {
+    auto Put = [&](int64_t W) { Words.push_back(W); };
+    Put(static_cast<int64_t>(Op.Opc));
+    Put(static_cast<int64_t>(Op.Operands.size()));
     for (const VReg &R : Op.Operands)
-      K.Operands.push_back(R.Id);
-    K.IImm = Op.IImm;
-    K.FImm = Op.FImm;
-    K.ArrayId = Op.Mem.isValid() ? Op.Mem.ArrayId : ~0u;
+      Put(R.Id);
+    Put(Op.IImm);
     if (Op.Mem.isValid()) {
-      for (const AffineExpr::Term &T : Op.Mem.Index.Terms)
-        K.Terms.push_back({T.LoopId, T.Coef});
-      K.Const = Op.Mem.Index.Const;
-      K.Addend = Op.Mem.Index.hasAddend() ? Op.Mem.Index.Addend.Id : ~0u;
+      Put(Op.Mem.ArrayId);
+      Put(static_cast<int64_t>(Op.Mem.Index.Terms.size()));
+      for (const AffineExpr::Term &T : Op.Mem.Index.Terms) {
+        Put(T.LoopId);
+        Put(T.Coef);
+      }
+      Put(Op.Mem.Index.Const);
+      Put(Op.Mem.Index.hasAddend() ? Op.Mem.Index.Addend.Id : ~0u);
     } else {
-      K.Const = 0;
-      K.Addend = ~0u;
+      Put(~0u);
+      Put(0);
+      Put(0);
+      Put(~0u);
     }
-    return K;
+    uint64_t H = 0xcbf29ce484222325ULL;
+    for (size_t I = KeyBegin; I != Words.size(); ++I)
+      H = (H ^ static_cast<uint64_t>(Words[I])) * 0x100000001b3ULL;
+    return H;
+  }
+
+  /// The slot whose key equals the one just encoded at KeyBegin, or None.
+  unsigned findSlot(uint64_t Hash, double FImm) const {
+    size_t Len = Words.size() - KeyBegin;
+    for (unsigned I = 0; I != Slots.size(); ++I) {
+      const Slot &S = Slots[I];
+      // FImm compares by equivalence, as an ordered key would.
+      if (S.Hash != Hash || S.End - S.Begin != Len || S.FImm < FImm ||
+          FImm < S.FImm)
+        continue;
+      if (std::equal(Words.begin() + S.Begin, Words.begin() + S.End,
+                     Words.begin() + KeyBegin))
+        return I;
+    }
+    return None;
+  }
+
+  void record(std::vector<unsigned> &Head, unsigned Id, unsigned SlotId) {
+    if (Head[Id] == None)
+      Touched.push_back(&Head == &RegHead ? Id : Id | ArrayBit);
+    Uses.push_back({SlotId, Head[Id]});
+    Head[Id] = static_cast<unsigned>(Uses.size() - 1);
+  }
+
+  /// Makes every expression recorded against \p Head[Id] unavailable and
+  /// drops the record list.
+  void invalidate(std::vector<unsigned> &Head, unsigned Id) {
+    for (unsigned U = Head[Id]; U != None; U = Uses[U].Next)
+      Slots[Uses[U].Slot].Holder = None;
+    Head[Id] = None;
+  }
+
+  /// Forgets every available expression (entering or leaving a nested
+  /// construct).
+  void flush() {
+    for (unsigned T : Touched) {
+      if (T & ArrayBit)
+        ArrayHead[T & ~ArrayBit] = None;
+      else
+        RegHead[T] = None;
+    }
+    Touched.clear();
+    Slots.clear();
+    Uses.clear();
+    Words.clear();
   }
 
   void process(StmtList &List) {
-    // Available expressions and the bookkeeping to invalidate them.
-    std::map<ExprKey, VReg> Available;
-    std::map<unsigned, std::vector<ExprKey>> KeysUsingReg;
-    std::map<unsigned, std::vector<ExprKey>> KeysUsingArray;
-
-    auto InvalidateReg = [&](unsigned Id) {
-      auto It = KeysUsingReg.find(Id);
-      if (It == KeysUsingReg.end())
-        return;
-      for (const ExprKey &K : It->second)
-        Available.erase(K);
-      KeysUsingReg.erase(It);
-    };
-    auto InvalidateArray = [&](unsigned Id) {
-      auto It = KeysUsingArray.find(Id);
-      if (It == KeysUsingArray.end())
-        return;
-      for (const ExprKey &K : It->second)
-        Available.erase(K);
-      KeysUsingArray.erase(It);
-    };
-    auto Flush = [&] {
-      Available.clear();
-      KeysUsingReg.clear();
-      KeysUsingArray.clear();
-    };
-
     for (StmtPtr &S : List) {
       if (auto *If = dyn_cast<IfStmt>(S.get())) {
+        // Conditional definitions poison availability; each branch starts
+        // empty.
+        flush();
         process(If->Then);
+        flush();
         process(If->Else);
-        Flush(); // Conditional definitions poison availability.
+        flush();
         continue;
       }
       if (auto *For = dyn_cast<ForStmt>(S.get())) {
+        flush();
         process(For->Body);
-        Flush();
+        flush();
         continue;
       }
-      auto *Op = cast<OpStmt>(S.get());
-      Operation &O = Op->Op;
+      Operation &O = cast<OpStmt>(S.get())->Op;
 
       bool Registered = false;
       if (O.Def.isValid() && isPureOp(O.Opc)) {
-        ExprKey K = keyOf(O);
-        auto Found = Available.find(K);
-        if (Found != Available.end() && !(Found->second == O.Def)) {
+        KeyBegin = Words.size();
+        uint64_t Hash = encode(O);
+        unsigned Found = findSlot(Hash, O.FImm);
+        unsigned Holder = Found == None ? None : Slots[Found].Holder;
+        if (Holder != None && Holder != O.Def.Id) {
           // Recomputation: turn it into a move from the first result.
+          Words.resize(KeyBegin);
           Operation Mov;
           Mov.Opc = P.vregInfo(O.Def).RC == RegClass::Float ? Opcode::FMov
                                                             : Opcode::IMov;
           Mov.Def = O.Def;
-          Mov.Operands = {Found->second};
+          Mov.Operands = {VReg(Holder)};
           O = std::move(Mov);
           ++Rewritten;
-        } else {
+        } else if (!readsOwnDef(O)) {
           // The redefinition of Def kills stale entries first, then the
           // fresh availability is registered (including against later
-          // redefinitions of its own holder).
-          InvalidateReg(O.Def.Id);
-          Available[K] = O.Def;
-          for (unsigned Id : K.Operands)
-            KeysUsingReg[Id].push_back(K);
-          if (K.Addend != ~0u)
-            KeysUsingReg[K.Addend].push_back(K);
-          KeysUsingReg[O.Def.Id].push_back(K);
+          // redefinitions of its own holder). An op reading its own def
+          // (x = x + y) is never registered: its key names the old x.
+          invalidate(RegHead, O.Def.Id);
+          unsigned SlotId = Found;
+          if (SlotId == None) {
+            SlotId = static_cast<unsigned>(Slots.size());
+            Slots.push_back({static_cast<unsigned>(KeyBegin),
+                             static_cast<unsigned>(Words.size()), Hash,
+                             O.FImm, None});
+          } else {
+            Words.resize(KeyBegin);
+          }
+          Slots[SlotId].Holder = O.Def.Id;
+          for (const VReg &R : O.Operands)
+            record(RegHead, R.Id, SlotId);
+          if (O.Mem.isValid() && O.Mem.Index.hasAddend())
+            record(RegHead, O.Mem.Index.Addend.Id, SlotId);
+          record(RegHead, O.Def.Id, SlotId);
           if (isLoad(O.Opc))
-            KeysUsingArray[O.Mem.ArrayId].push_back(K);
+            record(ArrayHead, O.Mem.ArrayId, SlotId);
           Registered = true;
+        } else {
+          Words.resize(KeyBegin);
         }
       }
       if (O.Def.isValid() && !Registered)
-        InvalidateReg(O.Def.Id);
+        invalidate(RegHead, O.Def.Id);
       if (isStore(O.Opc))
-        InvalidateArray(O.Mem.ArrayId);
+        invalidate(ArrayHead, O.Mem.ArrayId);
     }
   }
 
+  /// True if \p O's def is also one of its operands or its subscript
+  /// addend.
+  static bool readsOwnDef(const Operation &O) {
+    for (const VReg &R : O.Operands)
+      if (R == O.Def)
+        return true;
+    return O.Mem.isValid() && O.Mem.Index.hasAddend() &&
+           O.Mem.Index.Addend == O.Def;
+  }
+
+  /// Tags array ids in Touched.
+  static constexpr unsigned ArrayBit = 1u << 31;
+
   Program &P;
+  std::vector<int64_t> Words;
+  std::vector<Slot> Slots;
+  std::vector<Use> Uses;
+  std::vector<unsigned> RegHead;   ///< Per register: its record list.
+  std::vector<unsigned> ArrayHead; ///< Per array: its record list.
+  std::vector<unsigned> Touched;   ///< Nonempty heads, for flush().
+  size_t KeyBegin = 0;
   unsigned Rewritten = 0;
 };
 

@@ -275,6 +275,32 @@ TEST(LVN, RedefinedOperandBlocksReuse) {
   EXPECT_EQ(localValueNumbering(P), 0u);
 }
 
+// x = x + y reads the x it overwrites, so the expression x + y it computed
+// is not available in x afterwards: a following t = x + y (over the new x)
+// must be recomputed, not turned into t = mov x.
+TEST(LVN, OpRedefiningItsOperandIsNotReused) {
+  Program P;
+  IRBuilder B(P);
+  unsigned Out = P.createArray("out", RegClass::Float, 2);
+  VReg X = P.createVReg(RegClass::Float, "x");
+  B.assignMov(X, B.fconst(1.0));
+  VReg Y = B.fconst(2.0);
+  B.assign(X, Opcode::FAdd, X, Y);
+  VReg T = B.fadd(X, Y);
+  B.fstore(Out, B.cx(0), X);
+  B.fstore(Out, B.cx(1), T);
+
+  ProgramState Before = interpret(P, {});
+  ASSERT_TRUE(Before.Ok) << Before.Error;
+  EXPECT_FLOAT_EQ(Before.FloatArrays[Out][0], 3.0f);
+  EXPECT_FLOAT_EQ(Before.FloatArrays[Out][1], 5.0f);
+  EXPECT_EQ(localValueNumbering(P), 0u);
+  ProgramState After = interpret(P, {});
+  ASSERT_TRUE(After.Ok) << After.Error;
+  EXPECT_FLOAT_EQ(After.FloatArrays[Out][0], 3.0f);
+  EXPECT_FLOAT_EQ(After.FloatArrays[Out][1], 5.0f);
+}
+
 TEST(LVN, StoreInvalidatesLoads) {
   Program P;
   IRBuilder B(P);
