@@ -45,9 +45,11 @@ struct DiffOutcome {
 };
 
 /// Runs the full differential check on \p Spec: interpreter vs simulator
-/// with pipelining on, interpreter vs simulator with pipelining off, and
-/// pipelined vs unpipelined simulator state. \p Base supplies everything
-/// but EnablePipelining (forced per mode) and ParanoidVerify (forced on).
+/// with pipelining on, interpreter vs simulator with pipelining off,
+/// pipelined vs unpipelined simulator state, and both simulations against
+/// the interpreter run on an instance the scalar transforms never touched
+/// (library ops expanded only). \p Base supplies everything but
+/// EnablePipelining (forced per mode) and ParanoidVerify (forced on).
 DiffOutcome runDifferential(const WorkloadSpec &Spec,
                             const MachineDescription &MD,
                             const CompilerOptions &Base = {});

@@ -6,6 +6,7 @@
 
 #include "swp/Verify/Differential.h"
 
+#include "swp/IR/Expansion.h"
 #include "swp/Interp/Interpreter.h"
 #include "swp/Sim/Simulator.h"
 
@@ -15,11 +16,12 @@ using namespace swp;
 
 namespace {
 
-/// One compile + simulate + interpret pass in one pipelining mode.
-/// The interpreter runs on the post-compile program: compilation mutates
-/// the IR (library expansion, scalar cleanups), but those rewrites must
-/// preserve sequential semantics, so interpreting the mutated program is
-/// itself part of what the differential checks.
+/// One compile + simulate + interpret pass in one pipelining mode. The
+/// interpreter here runs on the post-compile program, which compilation
+/// rewrote in place (library expansion, scalar transforms), so this
+/// comparison checks the code generator against the IR it was given; a
+/// transform bug would move both sides alike. runDifferential therefore
+/// also interprets an untransformed instance of the workload.
 struct ModeRun {
   bool Ok = false;
   std::string Error;
@@ -102,6 +104,25 @@ DiffOutcome swp::runDifferential(const WorkloadSpec &Spec,
   if (!Cross.empty()) {
     D.Error = "pipelined vs baseline sim: " + Cross;
     return D;
+  }
+
+  // The reference the scalar transforms answer to: a fresh instance with
+  // only the library ops expanded (the interpreter has no intrinsics),
+  // interpreted before any transform touches it.
+  BuiltWorkload Ref = Spec.Make();
+  expandLibraryOps(*Ref.Prog);
+  ProgramState RefState = interpret(*Ref.Prog, Ref.Input);
+  if (!RefState.Ok) {
+    D.Error = "untransformed interpreter failed: " + RefState.Error;
+    return D;
+  }
+  for (const ModeRun *M : {&Pipe, &Seq}) {
+    std::string Mismatch = compareStates(*Ref.Prog, RefState, M->SimState);
+    if (!Mismatch.empty()) {
+      D.Error = std::string("untransformed interp vs ") +
+                (M == &Pipe ? "pipelined" : "baseline") + " sim: " + Mismatch;
+      return D;
+    }
   }
 
   D.Ok = true;

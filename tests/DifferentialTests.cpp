@@ -11,6 +11,7 @@
 
 #include "swp/Verify/Differential.h"
 
+#include "swp/IR/IRBuilder.h"
 #include "swp/Interp/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -76,6 +77,33 @@ TEST(Differential, RegressionSeeds) {
     DiffOutcome O = runDifferential(randomLoopSpec(Seed), MD);
     EXPECT_TRUE(O.Ok) << "seed " << Seed << ": " << O.Error;
   }
+}
+
+TEST(Differential, ScalarTransformBugsReachTheOracle) {
+  // x := 1; y := 2; x := x + y; t := x + y; out = {x, t}. Value numbering
+  // once rewrote t := x + y into t := mov x (the x + y it had recorded was
+  // over the old x). Interpreting the transformed program agreed with the
+  // simulator, so only the comparison against an untransformed instance
+  // caught it.
+  WorkloadSpec Spec;
+  Spec.Name = "lvn-self-redefinition";
+  Spec.Make = [] {
+    BuiltWorkload W;
+    W.Prog = std::make_unique<Program>();
+    Program &P = *W.Prog;
+    IRBuilder B(P);
+    unsigned Out = P.createArray("out", RegClass::Float, 2);
+    VReg X = P.createVReg(RegClass::Float, "x");
+    B.assignMov(X, B.fconst(1.0));
+    VReg Y = B.fconst(2.0);
+    B.assign(X, Opcode::FAdd, X, Y);
+    VReg T = B.fadd(X, Y);
+    B.fstore(Out, B.cx(0), X);
+    B.fstore(Out, B.cx(1), T);
+    return W;
+  };
+  DiffOutcome O = runDifferential(Spec, MachineDescription::warpCell());
+  EXPECT_TRUE(O.Ok) << O.Error;
 }
 
 TEST(Differential, RandomLoopGeneratorIsDeterministic) {
