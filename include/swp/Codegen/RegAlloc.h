@@ -25,40 +25,44 @@
 
 #include "swp/Codegen/VLIWProgram.h"
 
-#include <map>
+#include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
 namespace swp {
 
-/// One register file with a free list and a high-water mark.
+/// One register file: a bitmap of free registers that hands out the lowest
+/// free index first, plus a high-water mark.
 class RegisterFile {
 public:
-  RegisterFile(RegClass RC, unsigned Capacity) : RC(RC), Capacity(Capacity) {
-    for (unsigned I = 0; I != Capacity; ++I)
-      Free.insert(I);
+  RegisterFile(RegClass RC, unsigned Capacity)
+      : RC(RC), Capacity(Capacity), NumFree(Capacity),
+        FreeBits((Capacity + 63) / 64, ~uint64_t(0)) {
+    if (Capacity % 64 != 0)
+      FreeBits.back() = (uint64_t(1) << (Capacity % 64)) - 1;
   }
 
-  /// Allocates one register; nullopt when the file is exhausted.
+  /// Allocates the lowest free register; nullopt when the file is
+  /// exhausted.
   std::optional<PhysReg> allocate();
 
   /// Returns a register to the free list.
   void release(PhysReg R);
 
   unsigned capacity() const { return Capacity; }
-  unsigned inUse() const { return Capacity - Free.size(); }
+  unsigned inUse() const { return Capacity - NumFree; }
   unsigned highWater() const { return HighWater; }
 
 private:
   RegClass RC;
   unsigned Capacity;
-  std::set<unsigned> Free;
+  unsigned NumFree;
+  std::vector<uint64_t> FreeBits; ///< Bit i set = register i free.
   unsigned HighWater = 0;
 };
 
 /// Allocation state for one compilation: permanent assignments plus a
-/// stack of loop-local scopes.
+/// stack of loop-local scopes. Assignments are indexed by vreg id.
 class RegAlloc {
 public:
   explicit RegAlloc(const MachineDescription &MD)
@@ -66,6 +70,13 @@ public:
                            MD.registerFileSize(RegClass::Float)),
               RegisterFile(RegClass::Int,
                            MD.registerFileSize(RegClass::Int))} {}
+
+  /// Sizes the per-vreg table for ids below \p NumVRegs up front (it
+  /// also grows on demand).
+  void reserve(unsigned NumVRegs) {
+    if (Assigned.size() < NumVRegs)
+      Assigned.resize(NumVRegs);
+  }
 
   /// Permanently assigns one register to \p VRegId (copy 0 only).
   /// Returns false when the file is exhausted.
@@ -91,7 +102,7 @@ public:
   void endScope();
 
   bool isAssigned(unsigned VRegId) const {
-    return Assigned.count(VRegId) != 0;
+    return VRegId < Assigned.size() && Assigned[VRegId].Count != 0;
   }
 
   /// Register for copy \p Copy of \p VRegId (copy index is taken modulo
@@ -111,11 +122,33 @@ private:
     return RC == RegClass::Float ? 0 : 1;
   }
 
+  /// A vreg's registers: Count entries from Begin in the permanent or the
+  /// scoped pool. Count 0 = unassigned.
+  struct Assignment {
+    unsigned Begin = 0;
+    unsigned Count = 0;
+    bool Scoped = false;
+  };
+
+  Assignment &slotFor(unsigned VRegId) {
+    reserve(VRegId + 1);
+    return Assigned[VRegId];
+  }
+  const std::vector<PhysReg> &poolOf(const Assignment &A) const {
+    return A.Scoped ? ScopedPool : PermanentPool;
+  }
+
   RegisterFile Files[2];
-  std::map<unsigned, std::vector<PhysReg>> Assigned;
+  std::vector<Assignment> Assigned;
+  std::vector<PhysReg> PermanentPool;
+  /// Registers of scoped assignments; each scope truncates it on exit.
+  std::vector<PhysReg> ScopedPool;
+  /// Flat stacks of every open scope's local vregs (to unassign) and owned
+  /// registers (to release); a scope records where its part begins.
+  std::vector<unsigned> ScopeVRegs;
+  std::vector<PhysReg> ScopeOwned;
   struct Scope {
-    std::vector<unsigned> LocalVRegs; ///< To erase from Assigned.
-    std::vector<PhysReg> Owned;       ///< To release to the files.
+    size_t VRegsBegin, OwnedBegin, PoolBegin;
   };
   std::vector<Scope> Scopes;
 };

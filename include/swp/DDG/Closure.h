@@ -98,7 +98,7 @@ class SCCClosure {
 public:
   /// Computes all-pairs symbolic longest paths among \p Nodes (global node
   /// ids of one SCC of \p G), pruning with \p SMin (use recMII(G)).
-  SCCClosure(const DepGraph &G, const std::vector<unsigned> &Nodes,
+  SCCClosure(const DepGraph &G, std::span<const unsigned> Nodes,
              int64_t SMin);
 
   /// Longest path From -> To (global node ids; both must be members) at

@@ -28,7 +28,10 @@
 #include "swp/DDG/DepGraph.h"
 #include "swp/IR/Program.h"
 
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <span>
 
 namespace swp {
 
@@ -45,12 +48,22 @@ struct DDGBuildOptions {
   /// cannot be analyzed exactly, the inter-iteration (omega-1) ordering
   /// edge is dropped; same-iteration program order is kept.
   std::set<unsigned> NoAliasArrays;
+  /// The same two sets as id-indexed flags (nonzero = member), for callers
+  /// that keep them in dense form; the builder honors the union of each
+  /// set and its mask.
+  std::span<const uint8_t> ExpandedMask;
+  std::span<const uint8_t> NoAliasMask;
 };
 
 /// Builds the dependence graph over \p Units (in program order).
 DepGraph buildLoopDepGraph(std::vector<ScheduleUnit> Units,
                            const MachineDescription &MD,
                            const DDGBuildOptions &Opts);
+
+/// Same, over units shared with other graphs (no copy).
+DepGraph
+buildLoopDepGraph(std::shared_ptr<const std::vector<ScheduleUnit>> Units,
+                  const MachineDescription &MD, const DDGBuildOptions &Opts);
 
 /// Wraps each operation of a straight-line body (no nested control) into a
 /// simple schedule unit. Reduced constructs come from the hierarchical

@@ -23,6 +23,8 @@
 
 #include "swp/DDG/ScheduleUnit.h"
 
+#include <memory>
+#include <span>
 #include <vector>
 
 namespace swp {
@@ -45,26 +47,102 @@ struct DepEdge {
   DepKind Kind = DepKind::Flow;
 };
 
-/// Nodes plus adjacency. Owns the schedule units.
+/// Strongly connected components in one flat array, in topological order
+/// of the condensation: component C's members are
+/// members()[begin(C) .. begin(C + 1)).
+class SCCList {
+public:
+  unsigned size() const { return static_cast<unsigned>(Begin.size()) - 1; }
+  std::span<const unsigned> operator[](unsigned C) const {
+    return {Members.data() + Begin[C], Begin[C + 1] - Begin[C]};
+  }
+  /// Members of component \p C, copied (for callers that keep them).
+  std::vector<unsigned> copyOf(unsigned C) const {
+    std::span<const unsigned> M = (*this)[C];
+    return std::vector<unsigned>(M.begin(), M.end());
+  }
+
+private:
+  friend class DepGraph;
+  std::vector<unsigned> Members;
+  std::vector<unsigned> Begin{0}; ///< numComponents() + 1 offsets.
+};
+
+/// Nodes plus adjacency. The schedule units are shared, immutable, between
+/// every graph built over them; adjacency is kept as per-node linked lists
+/// threaded through flat per-edge arrays, so a graph allocates per graph,
+/// never per node or per edge.
 class DepGraph {
 public:
   explicit DepGraph(std::vector<ScheduleUnit> Units)
-      : Units(std::move(Units)), Succs(this->Units.size()),
-        Preds(this->Units.size()) {}
+      : DepGraph(std::make_shared<const std::vector<ScheduleUnit>>(
+            std::move(Units))) {}
+  explicit DepGraph(std::shared_ptr<const std::vector<ScheduleUnit>> Units)
+      : Units(std::move(Units)), Nodes(this->Units->size()) {}
 
-  unsigned numNodes() const { return Units.size(); }
-  const ScheduleUnit &unit(unsigned I) const { return Units[I]; }
+  unsigned numNodes() const { return Units->size(); }
+  const ScheduleUnit &unit(unsigned I) const { return (*Units)[I]; }
+  /// The units, for building another graph over them without a copy.
+  const std::shared_ptr<const std::vector<ScheduleUnit>> &sharedUnits() const {
+    return Units;
+  }
 
   void addEdge(DepEdge E);
+  /// Capacity for \p N edges in total.
+  void reserveEdges(size_t N) {
+    Edges.reserve(N);
+    Links.reserve(2 * N);
+  }
+
+  /// Indices into edges() of the edges leaving or entering one node, in
+  /// insertion order.
+  class EdgeRange {
+  public:
+    class iterator {
+    public:
+      unsigned operator*() const { return Cur; }
+      iterator &operator++() {
+        Cur = Links[2 * static_cast<size_t>(Cur) + Side];
+        return *this;
+      }
+      bool operator!=(const iterator &O) const { return Cur != O.Cur; }
+      bool operator==(const iterator &O) const { return Cur == O.Cur; }
+
+    private:
+      friend class EdgeRange;
+      iterator(const unsigned *Links, unsigned Side, unsigned Cur)
+          : Links(Links), Side(Side), Cur(Cur) {}
+      const unsigned *Links;
+      unsigned Side;
+      unsigned Cur;
+    };
+    iterator begin() const { return {Links, Side, First}; }
+    iterator end() const { return {Links, Side, None}; }
+    bool empty() const { return First == None; }
+
+  private:
+    friend class DepGraph;
+    EdgeRange(const unsigned *Links, unsigned Side, unsigned First)
+        : Links(Links), Side(Side), First(First) {}
+    const unsigned *Links;
+    unsigned Side;
+    unsigned First;
+  };
 
   const std::vector<DepEdge> &edges() const { return Edges; }
-  /// Indices into edges() of edges leaving / entering node \p I.
-  const std::vector<unsigned> &succs(unsigned I) const { return Succs[I]; }
-  const std::vector<unsigned> &preds(unsigned I) const { return Preds[I]; }
+  EdgeRange succs(unsigned I) const {
+    return {Links.data(), 0, Nodes[I].FirstSucc};
+  }
+  EdgeRange preds(unsigned I) const {
+    return {Links.data(), 1, Nodes[I].FirstPred};
+  }
 
-  /// Strongly connected components under edges of any omega, returned in
+  /// Strongly connected components under edges of any omega, in
   /// topological order of the condensation (every edge goes from an
   /// earlier to a later component, cycles being intra-component).
+  SCCList sccs() const;
+
+  /// The same components as one vector per component.
   std::vector<std::vector<unsigned>> stronglyConnectedComponents() const;
 
   /// Total uses of each resource by one iteration (for ResMII).
@@ -72,10 +150,18 @@ public:
   totalResourceUse(const MachineDescription &MD) const;
 
 private:
-  std::vector<ScheduleUnit> Units;
+  static constexpr unsigned None = ~0u;
+  struct NodeLinks {
+    unsigned FirstSucc = None, LastSucc = None;
+    unsigned FirstPred = None, LastPred = None;
+  };
+
+  std::shared_ptr<const std::vector<ScheduleUnit>> Units;
   std::vector<DepEdge> Edges;
-  std::vector<std::vector<unsigned>> Succs;
-  std::vector<std::vector<unsigned>> Preds;
+  std::vector<NodeLinks> Nodes;
+  /// Links[2e] = next edge leaving e's source, Links[2e + 1] = next edge
+  /// entering e's destination (None at the end of a list).
+  std::vector<unsigned> Links;
 };
 
 } // namespace swp

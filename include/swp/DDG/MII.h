@@ -31,6 +31,9 @@ unsigned resMII(const DepGraph &G, const MachineDescription &MD);
 /// and asserts.
 unsigned recMII(const DepGraph &G);
 
+/// The same bound over components already computed by G.sccs().
+unsigned recMII(const DepGraph &G, const SCCList &Comps);
+
 /// max(resMII, recMII).
 unsigned minimumII(const DepGraph &G, const MachineDescription &MD);
 

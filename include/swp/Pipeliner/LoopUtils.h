@@ -20,13 +20,20 @@
 
 #include "swp/IR/Program.h"
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 namespace swp {
 
 /// Registers written inside \p For and read anywhere outside its subtree
 /// (including by loop bounds of other loops).
 std::set<unsigned> liveOutRegs(const Program &P, const ForStmt &For);
+
+/// Dense form: \p LiveOut is resized to P.numVRegs() and LiveOut[v] is 1
+/// exactly for those registers.
+void liveOutRegs(const Program &P, const ForStmt &For,
+                 std::vector<uint8_t> &LiveOut);
 
 /// True if any operation in \p For's subtree uses \p For's induction
 /// variable as a value operand (as opposed to a subscript term).

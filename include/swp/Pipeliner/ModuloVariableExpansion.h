@@ -27,8 +27,11 @@
 #include "swp/IR/Program.h"
 #include "swp/Sched/Schedule.h"
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <span>
+#include <vector>
 
 namespace swp {
 
@@ -47,6 +50,13 @@ enum class MVEPolicy {
 std::set<unsigned> mveEligibleRegs(const std::vector<ScheduleUnit> &Units,
                                    const std::set<unsigned> &LiveOut,
                                    const Program &P);
+
+/// Dense form over id-indexed flags: \p Eligible is resized to
+/// P.numVRegs() and Eligible[v] is 1 exactly for the eligible registers;
+/// \p LiveOut is indexed the same way.
+void mveEligibleRegs(const std::vector<ScheduleUnit> &Units,
+                     std::span<const uint8_t> LiveOut, const Program &P,
+                     std::vector<uint8_t> &Eligible);
 
 /// The post-schedule expansion decision.
 struct MVEPlan {
@@ -71,6 +81,12 @@ struct MVEPlan {
 MVEPlan planModuloVariableExpansion(const std::vector<ScheduleUnit> &Units,
                                     const Schedule &Sched, unsigned II,
                                     const std::set<unsigned> &Expanded,
+                                    MVEPolicy Policy);
+
+/// Same, with \p Expanded as id-indexed flags (nonzero = expanded).
+MVEPlan planModuloVariableExpansion(const std::vector<ScheduleUnit> &Units,
+                                    const Schedule &Sched, unsigned II,
+                                    std::span<const uint8_t> Expanded,
                                     MVEPolicy Policy);
 
 } // namespace swp

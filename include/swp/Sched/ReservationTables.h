@@ -35,15 +35,22 @@ public:
   /// Commits \p U at cycle \p T.
   void place(const ScheduleUnit &U, int T);
 
+  /// Capacity for a horizon of \p Cycles without regrowing.
+  void reserve(unsigned Cycles) {
+    Rows.reserve(static_cast<size_t>(Cycles) * MD.numResources());
+  }
+
   /// Occupied horizon (one past the last cycle with any usage).
-  int horizon() const { return static_cast<int>(Rows.size()); }
+  int horizon() const {
+    return static_cast<int>(Rows.size() / MD.numResources());
+  }
 
   /// Units of resource \p Res in use at cycle \p T.
   unsigned usedAt(int T, unsigned Res) const;
 
 private:
   const MachineDescription &MD;
-  std::vector<std::vector<unsigned>> Rows; ///< [cycle][resource].
+  std::vector<unsigned> Rows; ///< horizon() x numResources, row-major.
 };
 
 /// Folded table with s rows: usage at cycle t lands on row t mod s.

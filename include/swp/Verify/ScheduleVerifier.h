@@ -40,7 +40,9 @@
 #include "swp/Pipeliner/ModuloVariableExpansion.h"
 #include "swp/Sched/Schedule.h"
 
+#include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,6 +108,12 @@ VerifyReport verifyMVEPlan(const std::vector<ScheduleUnit> &Units,
                            const Schedule &Sched, unsigned II,
                            const MVEPlan &Plan,
                            const std::set<unsigned> &Expanded);
+
+/// Same, with \p Expanded as id-indexed flags (nonzero = expanded).
+VerifyReport verifyMVEPlan(const std::vector<ScheduleUnit> &Units,
+                           const Schedule &Sched, unsigned II,
+                           const MVEPlan &Plan,
+                           std::span<const uint8_t> Expanded);
 
 /// Where a pipelined loop landed in the emitted instruction stream, plus
 /// the shape the compiler claims for it.

@@ -35,10 +35,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <new>
 #include <optional>
-#include <set>
 #include <sstream>
 
 using namespace swp;
@@ -57,13 +55,12 @@ unsigned drainPad(const MachineDescription &MD) {
   return Max;
 }
 
-
-/// Arrays carrying the user's no-alias directive in \p P.
-static std::set<unsigned> noAliasArrays(const Program &P) {
-  std::set<unsigned> Out;
+/// Arrays carrying the user's no-alias directive in \p P, as id-indexed
+/// flags.
+static std::vector<uint8_t> noAliasArrays(const Program &P) {
+  std::vector<uint8_t> Out(P.numArrays());
   for (unsigned Id = 0; Id != P.numArrays(); ++Id)
-    if (P.arrayInfo(Id).NoAlias)
-      Out.insert(Id);
+    Out[Id] = P.arrayInfo(Id).NoAlias;
   return Out;
 }
 
@@ -141,6 +138,25 @@ private:
   }
 
   void emitAgu(size_t Inst, AguOp A) { instAt(Inst).Agu.push_back(A); }
+
+  /// Counts one op placed at instruction Base + \p Offset of the region
+  /// about to be emitted (see reserveOps).
+  void countOp(size_t Offset) {
+    if (OpCount.size() <= Offset)
+      OpCount.resize(Offset + 1, 0);
+    ++OpCount[Offset];
+  }
+  /// Gives instruction \p Base + i room for the OpCount[i] ops counted
+  /// for it, so each instruction allocates its op list once; clears the
+  /// counts.
+  void reserveOps(size_t Base) {
+    for (size_t I = OpCount.size(); I-- != 0;)
+      if (OpCount[I]) {
+        VLIWInst &Inst = instAt(Base + I);
+        Inst.Ops.reserve(Inst.Ops.size() + OpCount[I]);
+      }
+    OpCount.clear();
+  }
   void padDrain() { Cursor = std::max(Cursor, Frontier) + Pad; }
 
   //===--- Region emission --------------------------------------------------===
@@ -164,9 +180,9 @@ private:
   /// Modulo-schedules and emits the loop. \p LocalSched and
   /// \p UnpipelinedPeriod are the plain graph's list schedule and period,
   /// which the remainder and short-trip-count versions reuse.
-  bool tryEmitPipelined(ForStmt &For, const std::vector<ScheduleUnit> &Units,
-                        const DepGraph &PlainG, const Schedule &LocalSched,
-                        int UnpipelinedPeriod, LoopReport &Report);
+  bool tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
+                        const Schedule &LocalSched, int UnpipelinedPeriod,
+                        LoopReport &Report);
 
   /// Emits the loop's code on one rung of the degradation ladder (List,
   /// UnrolledList, or Sequential). Returns false — without emitting
@@ -207,9 +223,21 @@ private:
   /// the cursor).
   size_t Frontier = 0;
 
-  std::map<const ForStmt *, LoopPrep> Preps;
-  /// Innermost loop owning all accesses of a vreg; absent or null = global.
-  std::map<unsigned, const ForStmt *> LocalTo;
+  /// Preheader operations per loop id.
+  std::vector<LoopPrep> Preps;
+  /// Per vreg id: the innermost loop owning all its accesses; null =
+  /// global.
+  std::vector<const ForStmt *> LocalTo;
+  /// Arrays carrying the no-alias directive, by id (fixed once the scalar
+  /// transforms are done).
+  std::vector<uint8_t> NoAlias;
+
+  /// Scratch reused across loops, indexed by vreg id unless noted.
+  std::vector<uint8_t> LiveOut, Eligible;
+  std::vector<unsigned> ArcOf;   ///< Index into the arc list, or ~0u.
+  std::vector<unsigned> Cells;   ///< One arc's occupied period cells.
+  std::vector<uint8_t> PoolBusy; ///< Pools x period occupancy, row-major.
+  std::vector<unsigned> OpCount; ///< Ops per instruction of one region.
   /// Live charge against CompilerOptions::Budget (engaged only when some
   /// ceiling is configured; the scheduler sees it via Sched.Budget).
   std::optional<BudgetTracker> BudgetStore;
@@ -271,7 +299,7 @@ private:
 void CompilerImpl::prepareAllLoops(StmtList &List) {
   for (StmtPtr &S : List) {
     if (auto *For = dyn_cast<ForStmt>(S.get())) {
-      Preps[For] = prepareLoopForCodegen(P, *For);
+      Preps[For->LoopId] = prepareLoopForCodegen(P, *For);
       prepareAllLoops(For->Body);
     } else if (auto *If = dyn_cast<IfStmt>(S.get())) {
       prepareAllLoops(If->Then);
@@ -319,34 +347,38 @@ void walk(const StmtList &List, const ForStmt *Inner, Fn &&F) {
 
 void CompilerImpl::classifyAndAllocateGlobals() {
   // LocalTo[v] = the unique innermost loop containing every access, if any.
-  std::map<unsigned, const ForStmt *> Owner;
-  std::set<unsigned> Global;
+  const unsigned NumVRegs = P.numVRegs();
+  std::vector<const ForStmt *> Owner(NumVRegs, nullptr);
+  std::vector<uint8_t> Global(NumVRegs, 0);
   access_walk::walk(P.Body, nullptr, [&](unsigned Id, const ForStmt *Inner) {
     if (!Inner) {
-      Global.insert(Id);
+      Global[Id] = 1;
       return;
     }
-    auto [It, New] = Owner.try_emplace(Id, Inner);
-    if (!New && It->second != Inner)
-      Global.insert(Id);
+    if (!Owner[Id])
+      Owner[Id] = Inner;
+    else if (Owner[Id] != Inner)
+      Global[Id] = 1;
   });
   // Preheader operations run outside the loop and touch their defs.
-  for (const auto &[For, Prep] : Preps)
+  for (const LoopPrep &Prep : Preps)
     for (const Operation &Op : Prep.Preheader) {
       if (Op.Def.isValid())
-        Global.insert(Op.Def.Id);
+        Global[Op.Def.Id] = 1;
       for (const VReg &R : Op.Operands)
-        Global.insert(R.Id);
+        Global[R.Id] = 1;
     }
 
-  for (const auto &[Id, Inner] : Owner)
-    if (!Global.count(Id) && !P.vregInfo(VReg(Id)).IsLiveIn)
-      LocalTo[Id] = Inner;
+  LocalTo.assign(NumVRegs, nullptr);
+  RA.reserve(NumVRegs);
+  for (unsigned Id = 0; Id != NumVRegs; ++Id)
+    if (Owner[Id] && !Global[Id] && !P.vregInfo(VReg(Id)).IsLiveIn)
+      LocalTo[Id] = Owner[Id];
 
-  for (unsigned Id = 0; Id != P.numVRegs(); ++Id) {
+  for (unsigned Id = 0; Id != NumVRegs; ++Id) {
     const VRegInfo &Info = P.vregInfo(VReg(Id));
-    bool Accessed = Owner.count(Id) || Global.count(Id) || Info.IsLiveIn;
-    if (!Accessed || LocalTo.count(Id))
+    bool Accessed = Owner[Id] || Global[Id] || Info.IsLiveIn;
+    if (!Accessed || LocalTo[Id])
       continue;
     if (!RA.assignPermanent(Id, Info.RC)) {
       fail("register file overflow while allocating globals (register " +
@@ -371,6 +403,7 @@ MachOp CompilerImpl::lowerOp(const Operation &Op, int64_t K,
   if (Op.Def.isValid())
     M.Def = RA.regFor(Op.Def.Id, static_cast<unsigned>(K));
   unsigned NumVals = numValueOperands(Op.Opc);
+  M.Uses.reserve(NumVals);
   for (unsigned I = 0; I != NumVals; ++I)
     M.Uses.push_back(RA.regFor(Op.Operands[I].Id, static_cast<unsigned>(K)));
   if (Op.Mem.isValid()) {
@@ -386,6 +419,7 @@ MachOp CompilerImpl::lowerOp(const Operation &Op, int64_t K,
   M.FImm = Op.FImm;
   M.IImm = Op.IImm;
   M.Queue = Op.Queue;
+  M.Preds.reserve(Preds.size());
   for (const PredTerm &PT : Preds)
     M.Preds.push_back(
         {RA.regFor(PT.Cond.Id, static_cast<unsigned>(K)), PT.Negated});
@@ -473,11 +507,15 @@ void CompilerImpl::emitSegment(const std::vector<const Stmt *> &Stmts) {
     return;
   DDGBuildOptions BOpts;
   BOpts.CurrentLoopId = NoLoop;
-  BOpts.NoAliasArrays = noAliasArrays(P);
+  BOpts.NoAliasMask = NoAlias;
   DepGraph G = buildLoopDepGraph(std::move(Units), MD, BOpts);
   Schedule Sched = listSchedule(G, MD);
 
   size_t Base = Cursor;
+  for (unsigned I = 0; I != G.numNodes(); ++I)
+    for (const UnitOp &UO : G.unit(I).ops())
+      countOp(Sched.startOf(I) + UO.Offset);
+  reserveOps(Base);
   for (unsigned I = 0; I != G.numNodes(); ++I)
     for (const UnitOp &UO : G.unit(I).ops()) {
       instAt(Base + Sched.startOf(I) + UO.Offset)
@@ -490,10 +528,7 @@ void CompilerImpl::emitSegment(const std::vector<const Stmt *> &Stmts) {
 }
 
 void CompilerImpl::emitPreheader(const ForStmt &For) {
-  auto It = Preps.find(&For);
-  if (It == Preps.end())
-    return;
-  for (const Operation &Op : It->second.Preheader)
+  for (const Operation &Op : Preps[For.LoopId].Preheader)
     emitSerial(lowerOp(Op, 0, P.numLoops(), {}),
                MD.opcodeInfo(Op.Opc).Latency);
 }
@@ -533,6 +568,10 @@ size_t CompilerImpl::emitUnpipelinedRun(const DepGraph &G,
                                         unsigned NodesPerCopy,
                                         unsigned AguStep) {
   size_t Base = Cursor;
+  for (unsigned I = 0; I != G.numNodes(); ++I)
+    for (const UnitOp &UO : G.unit(I).ops())
+      countOp(Sched.startOf(I) + UO.Offset);
+  reserveOps(Base);
   for (unsigned I = 0; I != G.numNodes(); ++I) {
     int64_t K = NodesPerCopy ? I / NodesPerCopy : 0;
     for (const UnitOp &UO : G.unit(I).ops())
@@ -562,49 +601,46 @@ bool CompilerImpl::allocateUnpipelinedLocals(const ForStmt &For,
     RegClass RC;
     int64_t Start, End;
   };
-  std::map<unsigned, Arc> Arcs;
+  std::vector<Arc> Arcs;
+  ArcOf.assign(P.numVRegs(), ~0u);
   for (unsigned I = 0; I != G.numNodes(); ++I) {
     int64_t T = Sched.startOf(I);
     for (const ScheduleUnit::RegWrite &W : G.unit(I).writes()) {
-      auto LocalIt = LocalTo.find(W.R.Id);
-      if (LocalIt == LocalTo.end() || LocalIt->second != &For)
+      if (LocalTo[W.R.Id] != &For)
         continue;
-      Arc &A = Arcs
-                    .try_emplace(W.R.Id, Arc{W.R.Id, P.vregInfo(W.R).RC,
-                                             T + W.Offset, T + W.Offset})
-                    .first->second;
+      if (ArcOf[W.R.Id] == ~0u) {
+        ArcOf[W.R.Id] = static_cast<unsigned>(Arcs.size());
+        Arcs.push_back(
+            {W.R.Id, P.vregInfo(W.R).RC, T + W.Offset, T + W.Offset});
+      }
+      Arc &A = Arcs[ArcOf[W.R.Id]];
       A.Start = std::min(A.Start, T + W.Offset);
       A.End = std::max(A.End, T + W.Offset + W.Latency);
     }
     for (const ScheduleUnit::RegRead &R : G.unit(I).reads()) {
-      auto LocalIt = LocalTo.find(R.R.Id);
-      if (LocalIt == LocalTo.end() || LocalIt->second != &For)
-        continue;
-      auto It = Arcs.find(R.R.Id);
-      if (It == Arcs.end())
-        continue; // Read-only local: impossible, but be safe.
-      It->second.End = std::max(It->second.End, T + R.Offset);
+      if (LocalTo[R.R.Id] != &For || ArcOf[R.R.Id] == ~0u)
+        continue; // A read-only local is impossible, but be safe.
+      Arc &A = Arcs[ArcOf[R.R.Id]];
+      A.End = std::max(A.End, T + R.Offset);
     }
   }
 
-  // Pool registers with per-cycle occupancy bitmaps.
-  struct Pool {
-    PhysReg R;
-    std::vector<bool> Busy;
-  };
-  std::vector<Pool> Pools[2];
-  auto FileOf = [](RegClass RC) { return RC == RegClass::Float ? 0 : 1; };
-
   // Longer arcs first gives a better packing.
-  std::vector<Arc> Order;
-  for (auto &[Id, A] : Arcs)
-    Order.push_back(A);
-  std::sort(Order.begin(), Order.end(), [](const Arc &A, const Arc &B) {
+  std::sort(Arcs.begin(), Arcs.end(), [](const Arc &A, const Arc &B) {
     return (A.End - A.Start) > (B.End - B.Start) ||
            ((A.End - A.Start) == (B.End - B.Start) && A.Id < B.Id);
   });
 
-  for (const Arc &A : Order) {
+  // Pool registers, each with a per-cycle occupancy row in PoolBusy.
+  struct Pool {
+    PhysReg R;
+    size_t Row;
+  };
+  std::vector<Pool> Pools[2];
+  auto FileOf = [](RegClass RC) { return RC == RegClass::Float ? 0 : 1; };
+  PoolBusy.clear();
+
+  for (const Arc &A : Arcs) {
     int64_t Len = A.End - A.Start + 1;
     if (Len >= Period) {
       // Alive the whole iteration: exclusive register.
@@ -612,23 +648,24 @@ bool CompilerImpl::allocateUnpipelinedLocals(const ForStmt &For,
         return false;
       continue;
     }
-    std::vector<unsigned> Cells;
+    Cells.clear();
     for (int64_t C = A.Start; C <= A.End; ++C) {
       int64_t W = C % Period;
       Cells.push_back(static_cast<unsigned>(W < 0 ? W + Period : W));
     }
     bool Placed = false;
     for (Pool &Pl : Pools[FileOf(A.RC)]) {
+      uint8_t *Busy = PoolBusy.data() + Pl.Row;
       bool Clash = false;
       for (unsigned C : Cells)
-        if (Pl.Busy[C]) {
+        if (Busy[C]) {
           Clash = true;
           break;
         }
       if (Clash)
         continue;
       for (unsigned C : Cells)
-        Pl.Busy[C] = true;
+        Busy[C] = 1;
       RA.aliasLocal(A.Id, Pl.R);
       Placed = true;
       break;
@@ -638,11 +675,12 @@ bool CompilerImpl::allocateUnpipelinedLocals(const ForStmt &For,
     std::optional<PhysReg> Fresh = RA.allocateScratch(A.RC);
     if (!Fresh)
       return false;
-    Pool Pl{*Fresh, std::vector<bool>(Period, false)};
+    Pool Pl{*Fresh, PoolBusy.size()};
+    PoolBusy.resize(PoolBusy.size() + Period, 0);
     for (unsigned C : Cells)
-      Pl.Busy[C] = true;
+      PoolBusy[Pl.Row + C] = 1;
     RA.aliasLocal(A.Id, Pl.R);
-    Pools[FileOf(A.RC)].push_back(std::move(Pl));
+    Pools[FileOf(A.RC)].push_back(Pl);
   }
   return true;
 }
@@ -714,11 +752,11 @@ void CompilerImpl::emitLoop(ForStmt &For) {
     LoopSpan.args(std::move(A));
   };
 
-  std::vector<ScheduleUnit> Units =
-      reduceBodyToUnits(For.Body, MD, For.LoopId);
-  Report.NumUnits = Units.size();
+  auto Units = std::make_shared<const std::vector<ScheduleUnit>>(
+      reduceBodyToUnits(For.Body, MD, For.LoopId));
+  Report.NumUnits = Units->size();
   Report.HasConditionals = bodyHasConditionals(For.Body);
-  if (Units.empty()) {
+  if (Units->empty()) {
     FinishLoopSpan();
     Result.Report.Loops.push_back(Report);
     return;
@@ -728,14 +766,15 @@ void CompilerImpl::emitLoop(ForStmt &For) {
   // policy thresholds.
   DDGBuildOptions PlainOpts;
   PlainOpts.CurrentLoopId = For.LoopId;
-  PlainOpts.NoAliasArrays = noAliasArrays(P);
+  PlainOpts.NoAliasMask = NoAlias;
   DepGraph PlainG = buildLoopDepGraph(Units, MD, PlainOpts);
   Schedule LocalSched = listSchedule(PlainG, MD);
   int Period = std::max(unpipelinedPeriod(PlainG, LocalSched),
                         LocalSched.spanLength(PlainG));
   Report.UnpipelinedLen = Period;
-  for (const auto &Comp : PlainG.stronglyConnectedComponents())
-    if (Comp.size() > 1)
+  SCCList Comps = PlainG.sccs();
+  for (unsigned C = 0; C != Comps.size(); ++C)
+    if (Comps[C].size() > 1)
       Report.HasRecurrence = true;
   for (const DepEdge &E : PlainG.edges())
     if (E.Src == E.Dst && E.Kind == DepKind::Flow)
@@ -759,8 +798,7 @@ void CompilerImpl::emitLoop(ForStmt &For) {
   } else {
     // tryEmitPipelined refines Decision/Cause to Pipelined, Fallback, or
     // Degraded (the compile budget tripped mid-search).
-    Pipelined =
-        tryEmitPipelined(For, Units, PlainG, LocalSched, Period, Report);
+    Pipelined = tryEmitPipelined(For, PlainG, LocalSched, Period, Report);
     if (!Pipelined) {
       // Roll back any local register assignments the attempt made.
       RA.endScope();
@@ -776,19 +814,16 @@ void CompilerImpl::emitLoop(ForStmt &For) {
     // last resort with minimal concurrent lifetimes.
     bool Degrading = Opts.MinLadderRung > 0 ||
                      Report.Cause == FallbackCause::BudgetExhausted;
-    std::vector<ScheduleRung> Ladder;
-    if (Opts.MinLadderRung >= 2)
-      Ladder = {ScheduleRung::Sequential};
-    else if (Degrading)
-      Ladder = {ScheduleRung::UnrolledList, ScheduleRung::Sequential};
-    else
-      Ladder = {ScheduleRung::List, ScheduleRung::Sequential};
+    ScheduleRung Ladder[2] = {Degrading ? ScheduleRung::UnrolledList
+                                        : ScheduleRung::List,
+                              ScheduleRung::Sequential};
+    size_t LadderBegin = Opts.MinLadderRung >= 2 ? 1 : 0;
     if (Degrading)
       Report.Decision = PipelineDecision::Degraded;
 
     bool Emitted = false;
-    for (size_t RI = 0; RI != Ladder.size() && !Failed; ++RI) {
-      if (RI != 0) {
+    for (size_t RI = LadderBegin; RI != 2 && !Failed; ++RI) {
+      if (RI != LadderBegin) {
         // The previous rung did not fit; dropping below it is itself a
         // degradation worth reporting.
         Report.Decision = PipelineDecision::Degraded;
@@ -866,8 +901,8 @@ bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
   // it also emits (sharing arcs computed on one schedule would not be).
   int AllocPeriod = Period;
   if (Rung == ScheduleRung::UnrolledList) {
-    for (const auto &[Id, Loop] : LocalTo) {
-      if (Loop != &For)
+    for (unsigned Id = 0; Id != LocalTo.size(); ++Id) {
+      if (LocalTo[Id] != &For)
         continue;
       if (!RA.assignLocal(Id, P.vregInfo(VReg(Id)).RC, 1))
         return false;
@@ -966,9 +1001,7 @@ bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
   return true;
 }
 
-bool CompilerImpl::tryEmitPipelined(ForStmt &For,
-                                    const std::vector<ScheduleUnit> &Units,
-                                    const DepGraph &PlainG,
+bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
                                     const Schedule &LocalSched,
                                     int UnpipelinedPeriod,
                                     LoopReport &Report) {
@@ -978,25 +1011,23 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
     throw std::bad_alloc();
 
   // Eligibility for modulo variable expansion.
-  std::set<unsigned> LiveOut = liveOutRegs(P, For);
-  std::set<unsigned> Eligible;
+  const std::vector<ScheduleUnit> &Units = *PlainG.sharedUnits();
+  Eligible.assign(P.numVRegs(), 0);
   if (Opts.MVE != MVEPolicy::Disabled) {
-    Eligible = mveEligibleRegs(Units, LiveOut, P);
+    liveOutRegs(P, For, LiveOut);
+    mveEligibleRegs(Units, LiveOut, P, Eligible);
     // Registers shared with other regions cannot rotate.
-    for (auto It = Eligible.begin(); It != Eligible.end();) {
-      auto LocalIt = LocalTo.find(*It);
-      if (LocalIt == LocalTo.end() || LocalIt->second != &For)
-        It = Eligible.erase(It);
-      else
-        ++It;
-    }
+    for (unsigned Id = 0; Id != Eligible.size(); ++Id)
+      if (LocalTo[Id] != &For)
+        Eligible[Id] = 0;
   }
 
+  // The expanded graph shares the plain graph's units.
   DDGBuildOptions BOpts;
   BOpts.CurrentLoopId = For.LoopId;
-  BOpts.ExpandedRegs = Eligible;
-  BOpts.NoAliasArrays = noAliasArrays(P);
-  DepGraph G = buildLoopDepGraph(Units, MD, BOpts);
+  BOpts.ExpandedMask = Eligible;
+  BOpts.NoAliasMask = NoAlias;
+  DepGraph G = buildLoopDepGraph(PlainG.sharedUnits(), MD, BOpts);
 
   ModuloScheduleOptions SOpts = Opts.Sched;
   if (SOpts.MaxII == 0)
@@ -1062,11 +1093,9 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
 
   // Exclusive local registers: expanded regs take their copy sets; other
   // locals take one register each.
-  std::set<unsigned> Locals;
-  for (const auto &[Id, Loop] : LocalTo)
-    if (Loop == &For)
-      Locals.insert(Id);
-  for (unsigned Id : Locals) {
+  for (unsigned Id = 0; Id != LocalTo.size(); ++Id) {
+    if (LocalTo[Id] != &For)
+      continue;
     unsigned Copies = Plan.copiesOf(Id);
     if (!RA.assignLocal(Id, P.vregInfo(VReg(Id)).RC, Copies)) {
       Report.Cause = FallbackCause::RegisterPressure;
@@ -1119,27 +1148,37 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
   emitPreheader(For);
   size_t LoopInstsBegin = Cursor;
 
+  // Visits every op instance of the region in emission order, with its
+  // instruction offset from the region base and its iteration offset K:
+  // prolog windows 0..M-2 (filling stages), U unrolled kernel windows,
+  // then epilog windows 0..M-2 (draining stages).
+  auto ForEachInstance = [&](auto &&Fn) {
+    for (unsigned W = 0; W + 1 < M; ++W)
+      for (const FlatOp &F : Flat)
+        if (F.Stage <= W)
+          Fn(static_cast<size_t>(W) * S + F.Row, F,
+             static_cast<int64_t>(W) - F.Stage);
+    for (unsigned R = 0; R != U; ++R)
+      for (const FlatOp &F : Flat)
+        Fn(static_cast<size_t>(M - 1 + R) * S + F.Row, F,
+           static_cast<int64_t>(M - 1) + R - F.Stage);
+    for (unsigned E = 0; E + 1 < M; ++E)
+      for (const FlatOp &F : Flat)
+        if (F.Stage >= E + 1)
+          Fn(static_cast<size_t>(M - 1 + U + E) * S + F.Row, F,
+             static_cast<int64_t>(M - 1) + E - F.Stage);
+  };
+
   auto EmitPipelinedBody = [&](PhysReg KernelCounter) {
     size_t Base = Cursor;
-    // Prolog: windows 0..M-2.
-    for (unsigned W = 0; W + 1 < M; ++W)
-      for (const FlatOp &F : Flat) {
-        if (F.Stage > W)
-          continue;
-        int64_t K = static_cast<int64_t>(W) - F.Stage;
-        instAt(Base + static_cast<size_t>(W) * S + F.Row)
-            .Ops.push_back(
-                lowerOp(F.UO->Op, K, For.LoopId, F.UO->Preds));
-      }
+    ForEachInstance(
+        [&](size_t Offset, const FlatOp &, int64_t) { countOp(Offset); });
+    reserveOps(Base);
+    ForEachInstance([&](size_t Offset, const FlatOp &F, int64_t K) {
+      instAt(Base + Offset)
+          .Ops.push_back(lowerOp(F.UO->Op, K, For.LoopId, F.UO->Preds));
+    });
     size_t KernelBase = Base + static_cast<size_t>(M - 1) * S;
-    // Kernel: U unrolled windows.
-    for (unsigned R = 0; R != U; ++R)
-      for (const FlatOp &F : Flat) {
-        int64_t K = static_cast<int64_t>(M - 1) + R - F.Stage;
-        instAt(KernelBase + static_cast<size_t>(R) * S + F.Row)
-            .Ops.push_back(
-                lowerOp(F.UO->Op, K, For.LoopId, F.UO->Preds));
-      }
     size_t KernelLast = KernelBase + static_cast<size_t>(U) * S - 1;
     VLIWInst &Back = instAt(KernelLast);
     assert(Back.Ctrl.K == ControlOp::Kind::None && "control slot collision");
@@ -1149,17 +1188,7 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For,
     Back.Agu.push_back(
         AguOp{For.LoopId, /*Relative=*/true, PhysReg{}, U});
     Report.KernelInsts = static_cast<unsigned>(U) * S;
-    // Epilog: windows 0..M-2, draining stages.
     size_t EpilogBase = KernelLast + 1;
-    for (unsigned E = 0; E + 1 < M; ++E)
-      for (const FlatOp &F : Flat) {
-        if (F.Stage < E + 1)
-          continue;
-        int64_t K = static_cast<int64_t>(M - 1) + E - F.Stage;
-        instAt(EpilogBase + static_cast<size_t>(E) * S + F.Row)
-            .Ops.push_back(
-                lowerOp(F.UO->Op, K, For.LoopId, F.UO->Preds));
-      }
     Cursor = EpilogBase + static_cast<size_t>(M - 1) * S;
     // The epilog may be empty (M == 1); keep the cursor past the kernel.
     Cursor = std::max(Cursor, KernelLast + 1);
@@ -1292,6 +1321,8 @@ CompileResult CompilerImpl::run() {
            0) {
     }
   }
+  NoAlias = noAliasArrays(P);
+  Preps.resize(P.numLoops());
   prepareAllLoops(P.Body);
   classifyAndAllocateGlobals();
   if (!Failed)

@@ -12,87 +12,100 @@
 using namespace swp;
 
 std::optional<PhysReg> RegisterFile::allocate() {
-  if (Free.empty())
-    return std::nullopt;
-  unsigned Index = *Free.begin();
-  Free.erase(Free.begin());
-  HighWater = std::max(HighWater, Capacity - static_cast<unsigned>(Free.size()));
-  return PhysReg{RC, Index};
+  for (size_t W = 0; W != FreeBits.size(); ++W) {
+    if (FreeBits[W] == 0)
+      continue;
+    unsigned Bit = static_cast<unsigned>(__builtin_ctzll(FreeBits[W]));
+    FreeBits[W] &= FreeBits[W] - 1;
+    --NumFree;
+    HighWater = std::max(HighWater, Capacity - NumFree);
+    return PhysReg{RC, static_cast<unsigned>(W * 64) + Bit};
+  }
+  return std::nullopt;
 }
 
 void RegisterFile::release(PhysReg R) {
   assert(R.RC == RC && R.Index < Capacity && "releasing a foreign register");
-  [[maybe_unused]] bool Inserted = Free.insert(R.Index).second;
-  assert(Inserted && "double release");
+  uint64_t Mask = uint64_t(1) << (R.Index % 64);
+  assert(!(FreeBits[R.Index / 64] & Mask) && "double release");
+  FreeBits[R.Index / 64] |= Mask;
+  ++NumFree;
 }
 
 bool RegAlloc::assignPermanent(unsigned VRegId, RegClass RC) {
-  assert(!Assigned.count(VRegId) && "vreg already assigned");
+  assert(!isAssigned(VRegId) && "vreg already assigned");
   std::optional<PhysReg> R = Files[fileIndex(RC)].allocate();
   if (!R)
     return false;
-  Assigned[VRegId] = {*R};
+  slotFor(VRegId) = {static_cast<unsigned>(PermanentPool.size()), 1, false};
+  PermanentPool.push_back(*R);
   return true;
 }
 
-void RegAlloc::beginScope() { Scopes.emplace_back(); }
+void RegAlloc::beginScope() {
+  Scopes.push_back({ScopeVRegs.size(), ScopeOwned.size(), ScopedPool.size()});
+}
 
 bool RegAlloc::assignLocal(unsigned VRegId, RegClass RC, unsigned Copies) {
   assert(!Scopes.empty() && "assignLocal outside any scope");
   assert(Copies >= 1 && "a register needs at least one copy");
-  assert(!Assigned.count(VRegId) && "vreg already assigned");
-  std::vector<PhysReg> Regs;
+  assert(!isAssigned(VRegId) && "vreg already assigned");
+  size_t Begin = ScopedPool.size();
   for (unsigned I = 0; I != Copies; ++I) {
     std::optional<PhysReg> R = Files[fileIndex(RC)].allocate();
     if (!R) {
-      for (PhysReg Owned : Regs)
-        Files[fileIndex(RC)].release(Owned);
+      for (size_t J = Begin; J != ScopedPool.size(); ++J)
+        Files[fileIndex(RC)].release(ScopedPool[J]);
+      ScopedPool.resize(Begin);
       return false;
     }
-    Regs.push_back(*R);
+    ScopedPool.push_back(*R);
   }
-  Scope &S = Scopes.back();
-  S.LocalVRegs.push_back(VRegId);
-  S.Owned.insert(S.Owned.end(), Regs.begin(), Regs.end());
-  Assigned[VRegId] = std::move(Regs);
+  ScopeVRegs.push_back(VRegId);
+  ScopeOwned.insert(ScopeOwned.end(), ScopedPool.begin() + Begin,
+                    ScopedPool.end());
+  slotFor(VRegId) = {static_cast<unsigned>(Begin), Copies, true};
   return true;
 }
 
 void RegAlloc::aliasLocal(unsigned VRegId, PhysReg R) {
   assert(!Scopes.empty() && "aliasLocal outside any scope");
-  assert(!Assigned.count(VRegId) && "vreg already assigned");
-  Scopes.back().LocalVRegs.push_back(VRegId);
-  Assigned[VRegId] = {R};
+  assert(!isAssigned(VRegId) && "vreg already assigned");
+  ScopeVRegs.push_back(VRegId);
+  slotFor(VRegId) = {static_cast<unsigned>(ScopedPool.size()), 1, true};
+  ScopedPool.push_back(R);
 }
 
 std::optional<PhysReg> RegAlloc::allocateScratch(RegClass RC) {
   std::optional<PhysReg> R = Files[fileIndex(RC)].allocate();
   if (R && !Scopes.empty())
-    Scopes.back().Owned.push_back(*R);
+    ScopeOwned.push_back(*R);
   return R;
 }
 
 void RegAlloc::endScope() {
   assert(!Scopes.empty() && "endScope without beginScope");
-  Scope &S = Scopes.back();
-  for (unsigned VRegId : S.LocalVRegs)
-    Assigned.erase(VRegId);
-  for (PhysReg R : S.Owned)
-    Files[fileIndex(R.RC)].release(R);
+  const Scope &S = Scopes.back();
+  for (size_t I = S.VRegsBegin; I != ScopeVRegs.size(); ++I)
+    Assigned[ScopeVRegs[I]] = Assignment();
+  for (size_t I = S.OwnedBegin; I != ScopeOwned.size(); ++I)
+    Files[fileIndex(ScopeOwned[I].RC)].release(ScopeOwned[I]);
+  ScopeVRegs.resize(S.VRegsBegin);
+  ScopeOwned.resize(S.OwnedBegin);
+  ScopedPool.resize(S.PoolBegin);
   Scopes.pop_back();
 }
 
 PhysReg RegAlloc::regFor(unsigned VRegId, unsigned Copy) const {
-  auto It = Assigned.find(VRegId);
-  if (It == Assigned.end()) {
+  if (!isAssigned(VRegId)) {
     std::fprintf(stderr, "regFor: vreg %%%u has no register\n", VRegId);
     assert(false && "vreg has no register");
   }
-  return It->second[Copy % It->second.size()];
+  const Assignment &A = Assigned[VRegId];
+  return poolOf(A)[A.Begin + Copy % A.Count];
 }
 
 unsigned RegAlloc::copiesOf(unsigned VRegId) const {
-  auto It = Assigned.find(VRegId);
-  assert(It != Assigned.end() && "vreg has no register");
-  return It->second.size();
+  assert(isAssigned(VRegId) && "vreg has no register");
+  return Assigned[VRegId].Count;
 }

@@ -24,9 +24,9 @@ void PathSet::insertSlow(PathPair NewPair, int64_t SMin) {
   Pairs.push_back(NewPair);
 }
 
-SCCClosure::SCCClosure(const DepGraph &G, const std::vector<unsigned> &Members,
+SCCClosure::SCCClosure(const DepGraph &G, std::span<const unsigned> Members,
                        int64_t SMin)
-    : Nodes(Members) {
+    : Nodes(Members.begin(), Members.end()) {
   unsigned N = Nodes.size();
   LocalOf.assign(G.numNodes(), -1);
   for (unsigned I = 0; I != N; ++I)

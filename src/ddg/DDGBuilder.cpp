@@ -6,18 +6,24 @@
 
 #include "swp/DDG/DDGBuilder.h"
 
-#include <map>
+#include <algorithm>
 
 using namespace swp;
 
 namespace {
 
-/// One register access in program order.
-struct RegAccess {
+/// One register or queue access; Seq is its position in program order.
+struct Access {
+  unsigned Key; ///< Register id, or queue channel and direction.
+  unsigned Seq;
   unsigned Unit;
   int Offset;
   bool IsWrite;
   unsigned Latency; // Writes only.
+
+  bool operator<(const Access &O) const {
+    return Key != O.Key ? Key < O.Key : Seq < O.Seq;
+  }
 };
 
 /// One memory access in program order.
@@ -28,34 +34,92 @@ struct MemUse {
   const Operation *Op;
 };
 
+/// The dense form of an id set: \p Mask, plus the members of \p Set
+/// (copied into \p Own) when the caller supplied the set form.
+std::span<const uint8_t> denseIds(const std::set<unsigned> &Set,
+                                  std::span<const uint8_t> Mask,
+                                  std::vector<uint8_t> &Own) {
+  if (Set.empty())
+    return Mask;
+  Own.assign(Mask.begin(), Mask.end());
+  if (Own.size() <= *Set.rbegin())
+    Own.resize(*Set.rbegin() + 1, 0);
+  for (unsigned Id : Set)
+    Own[Id] = 1;
+  return Own;
+}
+
+bool contains(std::span<const uint8_t> Mask, unsigned Id) {
+  return Id < Mask.size() && Mask[Id] != 0;
+}
+
 class Builder {
 public:
-  Builder(std::vector<ScheduleUnit> Units, const MachineDescription &MD,
+  Builder(std::shared_ptr<const std::vector<ScheduleUnit>> Units,
           const DDGBuildOptions &Opts)
-      : G(std::move(Units)), MD(MD), Opts(Opts) {}
+      : G(std::move(Units)), Opts(Opts),
+        Expanded(denseIds(Opts.ExpandedRegs, Opts.ExpandedMask,
+                          OwnExpanded)),
+        NoAlias(denseIds(Opts.NoAliasArrays, Opts.NoAliasMask, OwnNoAlias)) {}
 
   DepGraph run() {
     collectAccesses();
     buildRegisterDeps();
     buildMemoryDeps();
     buildQueueDeps();
-    (void)MD;
+    G.reserveEdges(Edges.size());
+    for (const DepEdge &E : Edges)
+      G.addEdge(E);
     return std::move(G);
   }
 
 private:
   void collectAccesses() {
+    size_t NumRegAccs = 0, NumMem = 0, NumQueue = 0;
+    for (unsigned I = 0; I != G.numNodes(); ++I) {
+      const ScheduleUnit &U = G.unit(I);
+      NumRegAccs += U.reads().size() + U.writes().size();
+      NumMem += U.memAccesses().size();
+      NumQueue += U.queueAccesses().size();
+    }
+    RegAccs.reserve(NumRegAccs);
+    MemUses.reserve(NumMem);
+    QueueAccs.reserve(NumQueue);
     for (unsigned I = 0; I != G.numNodes(); ++I) {
       const ScheduleUnit &U = G.unit(I);
       for (const ScheduleUnit::RegRead &R : U.reads())
-        RegAccs[R.R.Id].push_back({I, R.Offset, false, 0});
+        RegAccs.push_back({R.R.Id, static_cast<unsigned>(RegAccs.size()), I,
+                           R.Offset, false, 0});
       for (const ScheduleUnit::RegWrite &W : U.writes())
-        RegAccs[W.R.Id].push_back({I, W.Offset, true, W.Latency});
+        RegAccs.push_back({W.R.Id, static_cast<unsigned>(RegAccs.size()), I,
+                           W.Offset, true, W.Latency});
       for (const ScheduleUnit::MemAccess &M : U.memAccesses())
         MemUses.push_back({I, M.Offset, M.IsStore, M.Op});
       for (const ScheduleUnit::QueueAccess &Q : U.queueAccesses())
-        QueueSeqs[{Q.Queue, Q.IsSend}].push_back({I, Q.Offset, false, 0});
+        QueueAccs.push_back({queueKey(Q.Queue, Q.IsSend),
+                             static_cast<unsigned>(QueueAccs.size()), I,
+                             Q.Offset, false, 0});
     }
+    // Group by register (queue), ascending, keeping program order within
+    // each group.
+    std::sort(RegAccs.begin(), RegAccs.end());
+    std::sort(QueueAccs.begin(), QueueAccs.end());
+    size_t MaxGroup = 0;
+    for (size_t Begin = 0, End; Begin != RegAccs.size(); Begin = End) {
+      for (End = Begin; End != RegAccs.size() &&
+                        RegAccs[End].Key == RegAccs[Begin].Key;
+           ++End) {
+      }
+      MaxGroup = std::max(MaxGroup, End - Begin);
+    }
+    Writes.reserve(MaxGroup);
+    Reads.reserve(MaxGroup);
+  }
+
+  /// Orders queue sequences by channel, then receives before sends.
+  static unsigned queueKey(int Queue, bool IsSend) {
+    assert(Queue >= 0 && "queue channels are nonnegative");
+    return static_cast<unsigned>(Queue) << 1 | static_cast<unsigned>(IsSend);
   }
 
   void addEdge(unsigned Src, unsigned Dst, int Delay, unsigned Omega,
@@ -64,32 +128,37 @@ private:
     // honored by its internal schedule.
     if (Src == Dst && Omega == 0)
       return;
-    G.addEdge({Src, Dst, Delay, Omega, Kind});
+    Edges.push_back({Src, Dst, Delay, Omega, Kind});
   }
 
   void buildRegisterDeps() {
-    for (auto &[RegId, Accs] : RegAccs) {
-      bool Expanded = Opts.ExpandedRegs.count(RegId) != 0;
+    for (size_t Begin = 0, End; Begin != RegAccs.size(); Begin = End) {
+      unsigned RegId = RegAccs[Begin].Key;
+      for (End = Begin; End != RegAccs.size() && RegAccs[End].Key == RegId;
+           ++End) {
+      }
+      bool IsExpanded = contains(Expanded, RegId);
       // Partition while keeping program order (unit index order).
-      std::vector<RegAccess> Writes, Reads;
-      for (const RegAccess &A : Accs)
-        (A.IsWrite ? Writes : Reads).push_back(A);
+      Writes.clear();
+      Reads.clear();
+      for (size_t I = Begin; I != End; ++I)
+        (RegAccs[I].IsWrite ? Writes : Reads).push_back(RegAccs[I]);
       if (Writes.empty())
         continue; // Loop-invariant: no constraints.
 
       // Writing units in ascending order, for nearest-write queries.
       // (Writes is already ordered by unit index.)
-      for (const RegAccess &Rd : Reads) {
+      for (const Access &Rd : Reads) {
         // Flow: latest writing unit strictly before the read.
-        const RegAccess *Last = nullptr;
-        for (const RegAccess &W : Writes) {
+        const Access *Last = nullptr;
+        for (const Access &W : Writes) {
           if (W.Unit >= Rd.Unit)
             break;
           Last = &W;
         }
         if (Last) {
           unsigned LastUnit = Last->Unit;
-          for (const RegAccess &W : Writes)
+          for (const Access &W : Writes)
             if (W.Unit == LastUnit)
               addEdge(W.Unit, Rd.Unit,
                       W.Offset + static_cast<int>(W.Latency) - Rd.Offset, 0,
@@ -98,29 +167,29 @@ private:
           // Read-before-write: the value comes from the previous
           // iteration's last write.
           unsigned LastUnit = Writes.back().Unit;
-          for (const RegAccess &W : Writes)
+          for (const Access &W : Writes)
             if (W.Unit == LastUnit)
               addEdge(W.Unit, Rd.Unit,
                       W.Offset + static_cast<int>(W.Latency) - Rd.Offset, 1,
                       DepKind::Flow);
         }
         // Anti: the next writing unit must not commit before this read.
-        const RegAccess *Next = nullptr;
-        for (const RegAccess &W : Writes)
+        const Access *Next = nullptr;
+        for (const Access &W : Writes)
           if (W.Unit > Rd.Unit) {
             Next = &W;
             break;
           }
         if (Next) {
           unsigned NextUnit = Next->Unit;
-          for (const RegAccess &W : Writes)
+          for (const Access &W : Writes)
             if (W.Unit == NextUnit)
               addEdge(Rd.Unit, W.Unit,
                       Rd.Offset - W.Offset - static_cast<int>(W.Latency) + 1,
                       0, DepKind::Anti);
-        } else if (!Expanded) {
+        } else if (!IsExpanded) {
           unsigned FirstUnit = Writes.front().Unit;
-          for (const RegAccess &W : Writes)
+          for (const Access &W : Writes)
             if (W.Unit == FirstUnit)
               addEdge(Rd.Unit, W.Unit,
                       Rd.Offset - W.Offset - static_cast<int>(W.Latency) + 1,
@@ -130,7 +199,7 @@ private:
 
       // Output chains between consecutive writing units, with a wrap-around
       // edge ordering the last write before the next iteration's first.
-      auto OutputDelay = [](const RegAccess &A, const RegAccess &B) {
+      auto OutputDelay = [](const Access &A, const Access &B) {
         return A.Offset + static_cast<int>(A.Latency) - B.Offset -
                static_cast<int>(B.Latency) + 1;
       };
@@ -140,7 +209,7 @@ private:
         addEdge(Writes[I].Unit, Writes[I + 1].Unit,
                 OutputDelay(Writes[I], Writes[I + 1]), 0, DepKind::Output);
       }
-      if (!Expanded)
+      if (!IsExpanded)
         addEdge(Writes.back().Unit, Writes.front().Unit,
                 OutputDelay(Writes.back(), Writes.front()), 1,
                 DepKind::Output);
@@ -183,12 +252,12 @@ private:
           continue;
         const AffineExpr &IA = A.Op->Mem.Index;
         const AffineExpr &IB = B.Op->Mem.Index;
-        bool NoAlias = Opts.NoAliasArrays.count(A.Op->Mem.ArrayId) != 0;
+        bool NoAliasRef = contains(NoAlias, A.Op->Mem.ArrayId);
         if (!comparableSubscripts(IA, IB, Opts.CurrentLoopId)) {
           // Conservative: may conflict at any distance — unless the user
           // asserted iteration-disjointness with a no-alias directive.
           addEdge(A.Unit, B.Unit, memDelay(A, B), 0, DepKind::Mem);
-          if (!NoAlias)
+          if (!NoAliasRef)
             addEdge(B.Unit, A.Unit, memDelay(B, A), 1, DepKind::Mem);
           continue;
         }
@@ -196,7 +265,7 @@ private:
         int64_t CB = IB.coefOf(Opts.CurrentLoopId);
         if (CA != CB) {
           addEdge(A.Unit, B.Unit, memDelay(A, B), 0, DepKind::Mem);
-          if (!NoAlias)
+          if (!NoAliasRef)
             addEdge(B.Unit, A.Unit, memDelay(B, A), 1, DepKind::Mem);
           continue;
         }
@@ -228,25 +297,33 @@ private:
   }
 
   void buildQueueDeps() {
-    for (auto &[Key, Seq] : QueueSeqs) {
-      for (size_t I = 0; I + 1 < Seq.size(); ++I)
+    for (size_t Begin = 0, End; Begin != QueueAccs.size(); Begin = End) {
+      for (End = Begin; End != QueueAccs.size() &&
+                        QueueAccs[End].Key == QueueAccs[Begin].Key;
+           ++End) {
+      }
+      const Access *Seq = QueueAccs.data() + Begin;
+      size_t Size = End - Begin;
+      for (size_t I = 0; I + 1 < Size; ++I)
         if (Seq[I].Unit != Seq[I + 1].Unit)
           addEdge(Seq[I].Unit, Seq[I + 1].Unit,
                   Seq[I].Offset + 1 - Seq[I + 1].Offset, 0, DepKind::Queue);
-      if (Seq.size() > 1 && Seq.back().Unit != Seq.front().Unit)
-        addEdge(Seq.back().Unit, Seq.front().Unit,
-                Seq.back().Offset + 1 - Seq.front().Offset, 1,
-                DepKind::Queue);
+      if (Size > 1 && Seq[Size - 1].Unit != Seq[0].Unit)
+        addEdge(Seq[Size - 1].Unit, Seq[0].Unit,
+                Seq[Size - 1].Offset + 1 - Seq[0].Offset, 1, DepKind::Queue);
     }
   }
 
   DepGraph G;
-  const MachineDescription &MD;
   const DDGBuildOptions &Opts;
+  std::vector<uint8_t> OwnExpanded, OwnNoAlias;
+  std::span<const uint8_t> Expanded, NoAlias;
 
-  std::map<unsigned, std::vector<RegAccess>> RegAccs;
+  std::vector<Access> RegAccs;   ///< Sorted by (register, program order).
+  std::vector<Access> QueueAccs; ///< Sorted by (channel, program order).
   std::vector<MemUse> MemUses;
-  std::map<std::pair<int, bool>, std::vector<RegAccess>> QueueSeqs;
+  std::vector<Access> Writes, Reads; ///< One register's, reused.
+  std::vector<DepEdge> Edges;        ///< In emission order.
 };
 
 } // namespace
@@ -254,7 +331,16 @@ private:
 DepGraph swp::buildLoopDepGraph(std::vector<ScheduleUnit> Units,
                                 const MachineDescription &MD,
                                 const DDGBuildOptions &Opts) {
-  return Builder(std::move(Units), MD, Opts).run();
+  return buildLoopDepGraph(
+      std::make_shared<const std::vector<ScheduleUnit>>(std::move(Units)), MD,
+      Opts);
+}
+
+DepGraph
+swp::buildLoopDepGraph(std::shared_ptr<const std::vector<ScheduleUnit>> Units,
+                       const MachineDescription &,
+                       const DDGBuildOptions &Opts) {
+  return Builder(std::move(Units), Opts).run();
 }
 
 std::vector<ScheduleUnit>

@@ -60,16 +60,19 @@ bool hasPositiveCycle(const LocalCycleGraph &C, int64_t S,
 
 } // namespace
 
-unsigned swp::recMII(const DepGraph &G) {
-  // Decompose once: every cycle is confined to one strongly connected
-  // component, so the bound is the max over components of the smallest s
-  // admitting no positive cycle there — and each component's Bellman-Ford
-  // runs over a few local edges instead of the whole graph.
-  std::vector<std::vector<unsigned>> Comps = G.stronglyConnectedComponents();
+unsigned swp::recMII(const DepGraph &G) { return recMII(G, G.sccs()); }
+
+unsigned swp::recMII(const DepGraph &G, const SCCList &Comps) {
+  // Every cycle is confined to one strongly connected component, so the
+  // bound is the max over components of the smallest s admitting no
+  // positive cycle there — and each component's Bellman-Ford runs over a
+  // few local edges instead of the whole graph.
   std::vector<int> LocalOf(G.numNodes(), -1);
   int64_t Bound = 1;
   std::vector<int64_t> Dist;
-  for (const std::vector<unsigned> &Members : Comps) {
+  LocalCycleGraph C;
+  for (unsigned CI = 0; CI != Comps.size(); ++CI) {
+    std::span<const unsigned> Members = Comps[CI];
     if (Members.size() == 1) {
       // Singleton components cycle only through self-edges, whose bound
       // is directly ceil(d / p).
@@ -83,8 +86,9 @@ unsigned swp::recMII(const DepGraph &G) {
       }
       continue;
     }
-    LocalCycleGraph C;
     C.NumNodes = static_cast<unsigned>(Members.size());
+    C.Edges.clear();
+    C.DelaySum = 1;
     for (unsigned I = 0; I != C.NumNodes; ++I)
       LocalOf[Members[I]] = static_cast<int>(I);
     for (unsigned N : Members)

@@ -47,6 +47,18 @@ bool ScheduleUnit::definesReg(VReg R) const {
 }
 
 void ScheduleUnit::deriveAccessInfo(const MachineDescription &MD) {
+  // Size each list exactly first, so each allocates once.
+  size_t NumReads = 0, NumWrites = 0, NumMem = 0, NumQueue = 0;
+  for (const UnitOp &UO : Ops) {
+    NumReads += UO.Op.Operands.size() + UO.Preds.size();
+    NumWrites += UO.Op.Def.isValid();
+    NumMem += isMemAccess(UO.Op.Opc);
+    NumQueue += UO.Op.Opc == Opcode::Recv || UO.Op.Opc == Opcode::Send;
+  }
+  Reads.reserve(NumReads);
+  Writes.reserve(NumWrites);
+  MemAccs.reserve(NumMem);
+  QueueAccs.reserve(NumQueue);
   for (const UnitOp &UO : Ops) {
     const Operation &Op = UO.Op;
     for (const VReg &R : Op.Operands)

@@ -11,7 +11,7 @@
 #include "swp/Support/Trace.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <string>
 
 using namespace swp;
@@ -23,7 +23,11 @@ namespace {
 /// with the branch's per-cycle resource usage.
 struct CompactedBranch {
   std::vector<UnitOp> Ops;
-  std::map<std::pair<unsigned, unsigned>, unsigned> Usage; ///< (cycle,res).
+  /// Units of each resource in use per cycle, cycle-major: entry
+  /// cycle * numResources() + res. Used marks the entries some
+  /// reservation touched.
+  std::vector<unsigned> Usage;
+  std::vector<uint8_t> Used;
   int Length = 0;
 };
 
@@ -40,18 +44,28 @@ CompactedBranch compactBranch(const StmtList &Body,
   DepGraph G = buildLoopDepGraph(std::move(Units), MD, Opts);
   Schedule Sched = listSchedule(G, MD);
 
+  const size_t NumRes = MD.numResources();
+  size_t NumOps = 0;
+  for (unsigned I = 0; I != G.numNodes(); ++I) {
+    NumOps += G.unit(I).ops().size();
+    Out.Length = std::max(Out.Length, Sched.startOf(I) + G.unit(I).length());
+  }
+  Out.Ops.reserve(NumOps);
+  Out.Usage.assign(static_cast<size_t>(Out.Length) * NumRes, 0);
+  Out.Used.assign(Out.Usage.size(), 0);
   for (unsigned I = 0; I != G.numNodes(); ++I) {
     int T = Sched.startOf(I);
     const ScheduleUnit &U = G.unit(I);
     for (const UnitOp &UO : U.ops()) {
-      UnitOp Shifted = UO;
-      Shifted.Offset += T;
-      Out.Ops.push_back(std::move(Shifted));
+      Out.Ops.push_back(UO);
+      Out.Ops.back().Offset += T;
     }
-    for (const ResourceUse &Use : U.reservation())
-      Out.Usage[{static_cast<unsigned>(T) + Use.Cycle, Use.ResId}] +=
-          Use.Units;
-    Out.Length = std::max(Out.Length, T + U.length());
+    for (const ResourceUse &Use : U.reservation()) {
+      size_t Slot = (static_cast<size_t>(T) + Use.Cycle) * NumRes + Use.ResId;
+      assert(Slot < Out.Usage.size() && "reservation beyond the unit length");
+      Out.Usage[Slot] += Use.Units;
+      Out.Used[Slot] = 1;
+    }
   }
   return Out;
 }
@@ -98,16 +112,20 @@ swp::reduceStmtsToUnits(const std::vector<const Stmt *> &Stmts,
 
     // Union of the scheduling constraints of the two branches: entry-wise
     // maximum of the reservation tables, maximum of the lengths
-    // (section 3.1).
-    std::map<std::pair<unsigned, unsigned>, unsigned> Merged = Then.Usage;
-    for (const auto &[Key, Units_] : Else.Usage) {
-      unsigned &Slot = Merged[Key];
-      Slot = std::max(Slot, Units_);
-    }
+    // (section 3.1), listed by (cycle, resource).
+    const unsigned NumRes = MD.numResources();
+    const size_t Slots = std::max(Then.Usage.size(), Else.Usage.size());
     std::vector<ResourceUse> Reservation;
-    Reservation.reserve(Merged.size());
-    for (const auto &[Key, Count] : Merged)
-      Reservation.push_back({Key.second, Key.first, Count});
+    for (size_t Slot = 0; Slot != Slots; ++Slot) {
+      bool InThen = Slot < Then.Used.size() && Then.Used[Slot];
+      bool InElse = Slot < Else.Used.size() && Else.Used[Slot];
+      if (!InThen && !InElse)
+        continue;
+      unsigned Count = std::max(InThen ? Then.Usage[Slot] : 0u,
+                                InElse ? Else.Usage[Slot] : 0u);
+      Reservation.push_back({static_cast<unsigned>(Slot % NumRes),
+                             static_cast<unsigned>(Slot / NumRes), Count});
+    }
 
     std::vector<UnitOp> Ops = std::move(Then.Ops);
     Ops.insert(Ops.end(), std::make_move_iterator(Else.Ops.begin()),

@@ -10,71 +10,69 @@ using namespace swp;
 
 namespace {
 
-/// Collects register reads (operands, subscript addends, conditions, loop
-/// bounds) and defs from a statement list.
-void collectAccesses(const StmtList &List, std::set<unsigned> &Reads,
-                     std::set<unsigned> &Defs) {
-  forEachStmt(List, [&](const Stmt &S) {
-    if (const auto *Op = dyn_cast<OpStmt>(&S)) {
-      for (const VReg &R : Op->Op.Operands)
-        Reads.insert(R.Id);
-      if (Op->Op.Mem.isValid() && Op->Op.Mem.Index.hasAddend())
-        Reads.insert(Op->Op.Mem.Index.Addend.Id);
+/// Ors \p Bit into \p Mask[v] for every register v defined in \p List.
+void markDefs(const StmtList &List, std::vector<uint8_t> &Mask, uint8_t Bit) {
+  for (const StmtPtr &S : List) {
+    if (const auto *Op = dyn_cast<OpStmt>(S.get())) {
       if (Op->Op.Def.isValid())
-        Defs.insert(Op->Op.Def.Id);
-      return;
+        Mask[Op->Op.Def.Id] |= Bit;
+    } else if (const auto *If = dyn_cast<IfStmt>(S.get())) {
+      markDefs(If->Then, Mask, Bit);
+      markDefs(If->Else, Mask, Bit);
+    } else {
+      markDefs(cast<ForStmt>(S.get())->Body, Mask, Bit);
     }
-    if (const auto *If = dyn_cast<IfStmt>(&S)) {
-      Reads.insert(If->Cond.Id);
-      return;
-    }
-    const auto *For = cast<ForStmt>(&S);
-    if (!For->Lo.IsImm)
-      Reads.insert(For->Lo.Reg.Id);
-    if (!For->Hi.IsImm)
-      Reads.insert(For->Hi.Reg.Id);
-  });
+  }
 }
 
-/// Like collectAccesses but skips the subtree rooted at \p Skip.
-void collectAccessesOutside(const StmtList &List, const ForStmt *Skip,
-                            std::set<unsigned> &Reads) {
+/// Ors \p Bit into \p Mask[v] for every register v read (operands,
+/// subscript addends, conditions, loop bounds) in \p List outside the
+/// subtree rooted at \p Skip.
+void markReadsOutside(const StmtList &List, const ForStmt *Skip,
+                      std::vector<uint8_t> &Mask, uint8_t Bit) {
   for (const StmtPtr &S : List) {
     if (S.get() == Skip)
       continue;
     if (const auto *Op = dyn_cast<OpStmt>(S.get())) {
       for (const VReg &R : Op->Op.Operands)
-        Reads.insert(R.Id);
+        Mask[R.Id] |= Bit;
       if (Op->Op.Mem.isValid() && Op->Op.Mem.Index.hasAddend())
-        Reads.insert(Op->Op.Mem.Index.Addend.Id);
+        Mask[Op->Op.Mem.Index.Addend.Id] |= Bit;
       continue;
     }
     if (const auto *If = dyn_cast<IfStmt>(S.get())) {
-      Reads.insert(If->Cond.Id);
-      collectAccessesOutside(If->Then, Skip, Reads);
-      collectAccessesOutside(If->Else, Skip, Reads);
+      Mask[If->Cond.Id] |= Bit;
+      markReadsOutside(If->Then, Skip, Mask, Bit);
+      markReadsOutside(If->Else, Skip, Mask, Bit);
       continue;
     }
     const auto *For = cast<ForStmt>(S.get());
     if (!For->Lo.IsImm)
-      Reads.insert(For->Lo.Reg.Id);
+      Mask[For->Lo.Reg.Id] |= Bit;
     if (!For->Hi.IsImm)
-      Reads.insert(For->Hi.Reg.Id);
-    collectAccessesOutside(For->Body, Skip, Reads);
+      Mask[For->Hi.Reg.Id] |= Bit;
+    markReadsOutside(For->Body, Skip, Mask, Bit);
   }
 }
 
 } // namespace
 
+void swp::liveOutRegs(const Program &P, const ForStmt &For,
+                      std::vector<uint8_t> &LiveOut) {
+  LiveOut.assign(P.numVRegs(), 0);
+  markDefs(For.Body, LiveOut, 1);
+  markReadsOutside(P.Body, &For, LiveOut, 2);
+  for (uint8_t &V : LiveOut)
+    V = V == 3;
+}
+
 std::set<unsigned> swp::liveOutRegs(const Program &P, const ForStmt &For) {
-  std::set<unsigned> InLoopReads, InLoopDefs;
-  collectAccesses(For.Body, InLoopReads, InLoopDefs);
-  std::set<unsigned> OutsideReads;
-  collectAccessesOutside(P.Body, &For, OutsideReads);
+  std::vector<uint8_t> Mask;
+  liveOutRegs(P, For, Mask);
   std::set<unsigned> LiveOut;
-  for (unsigned Id : InLoopDefs)
-    if (OutsideReads.count(Id))
-      LiveOut.insert(Id);
+  for (unsigned Id = 0; Id != Mask.size(); ++Id)
+    if (Mask[Id])
+      LiveOut.insert(LiveOut.end(), Id);
   return LiveOut;
 }
 

@@ -100,15 +100,28 @@ private:
   const DepGraph &G;
   const MachineDescription &MD;
   const ModuloScheduleOptions &Opts;
-  std::vector<std::vector<unsigned>> Comps;
+  SCCList Comps;
   std::vector<int64_t> Heights;
   std::vector<unsigned> CompOf;   ///< Node -> component.
   std::vector<unsigned> LocalIdx; ///< Node -> position within component.
   std::vector<CompInfo> Infos;
   std::vector<SCCClosure> Closures;
   std::vector<CondEdge> CondEdges;
-  std::vector<std::vector<unsigned>> CondSuccs, CondPreds;
+  /// Condensation adjacency in CSR form: the CondEdges indices leaving
+  /// (entering) component C are CondSuccIdx[CondSuccStart[C] ..
+  /// CondSuccStart[C + 1]) (likewise for preds), in edge order.
+  std::vector<unsigned> CondSuccStart, CondSuccIdx;
+  std::vector<unsigned> CondPredStart, CondPredIdx;
   std::vector<unsigned> CondInDeg;
+
+  std::span<const unsigned> condSuccs(unsigned C) const {
+    return {CondSuccIdx.data() + CondSuccStart[C],
+            CondSuccStart[C + 1] - CondSuccStart[C]};
+  }
+  std::span<const unsigned> condPreds(unsigned C) const {
+    return {CondPredIdx.data() + CondPredStart[C],
+            CondPredStart[C + 1] - CondPredStart[C]};
+  }
   /// Condensation heights with all internal offsets zero — exact whenever
   /// the graph has no nontrivial component (then they are II-invariant).
   std::vector<int64_t> BaseCompHeight;
@@ -120,9 +133,8 @@ private:
 
 SchedulerImpl::SchedulerImpl(const DepGraph &G, const MachineDescription &MD,
                              const ModuloScheduleOptions &Opts)
-    : G(G), MD(MD), Opts(Opts), Comps(G.stronglyConnectedComponents()),
-      Heights(computeHeights(G)) {
-  RecBound = recMII(G);
+    : G(G), MD(MD), Opts(Opts), Comps(G.sccs()), Heights(computeHeights(G)) {
+  RecBound = recMII(G, Comps);
   const unsigned NumComps = Comps.size();
   CompOf.assign(G.numNodes(), 0);
   LocalIdx.assign(G.numNodes(), 0);
@@ -179,34 +191,47 @@ SchedulerImpl::SchedulerImpl(const DepGraph &G, const MachineDescription &MD,
       Info.SuccStart[I] += Info.SuccStart[I - 1];
     Info.SuccDst.resize(Info.SuccStart.back());
   }
-  {
-    // Second pass over the edges with per-component fill cursors.
-    std::vector<std::vector<unsigned>> Cursors(NumComps);
-    for (unsigned C = 0; C != NumComps; ++C)
-      if (!Infos[C].SuccStart.empty())
-        Cursors[C].assign(Infos[C].SuccStart.begin(),
-                          Infos[C].SuccStart.end() - 1);
-    for (const DepEdge &E : G.edges()) {
-      unsigned C = CompOf[E.Src];
-      if (E.Omega != 0 || CompOf[E.Dst] != C || Comps[C].size() <= 1)
-        continue;
-      Infos[C].SuccDst[Cursors[C][LocalIdx[E.Src]]++] = LocalIdx[E.Dst];
-    }
+  // Second pass over the edges with one fill cursor per node (the
+  // position of its next intra-component successor).
+  std::vector<unsigned> Cursor(G.numNodes(), 0);
+  for (unsigned N = 0; N != G.numNodes(); ++N)
+    if (!Infos[CompOf[N]].SuccStart.empty())
+      Cursor[N] = Infos[CompOf[N]].SuccStart[LocalIdx[N]];
+  for (const DepEdge &E : G.edges()) {
+    unsigned C = CompOf[E.Src];
+    if (E.Omega != 0 || CompOf[E.Dst] != C || Comps[C].size() <= 1)
+      continue;
+    Infos[C].SuccDst[Cursor[E.Src]++] = LocalIdx[E.Dst];
   }
 
   // Condensation edges and in-degrees (interval-independent structure;
   // only the per-attempt internal-offset correction varies).
-  CondSuccs.assign(NumComps, {});
-  CondPreds.assign(NumComps, {});
   CondInDeg.assign(NumComps, 0);
+  CondSuccStart.assign(NumComps + 1, 0);
+  CondPredStart.assign(NumComps + 1, 0);
   for (const DepEdge &E : G.edges()) {
     unsigned CS = CompOf[E.Src], CD = CompOf[E.Dst];
     if (CS == CD)
       continue;
-    CondSuccs[CS].push_back(static_cast<unsigned>(CondEdges.size()));
-    CondPreds[CD].push_back(static_cast<unsigned>(CondEdges.size()));
+    ++CondSuccStart[CS + 1];
+    ++CondPredStart[CD + 1];
     ++CondInDeg[CD];
     CondEdges.push_back({CS, CD, E.Src, E.Dst, E.Delay, E.Omega});
+  }
+  for (unsigned C = 0; C != NumComps; ++C) {
+    CondSuccStart[C + 1] += CondSuccStart[C];
+    CondPredStart[C + 1] += CondPredStart[C];
+  }
+  CondSuccIdx.resize(CondEdges.size());
+  CondPredIdx.resize(CondEdges.size());
+  {
+    // Fill in edge order; the cursors reuse Cursor's storage.
+    Cursor.assign(CondSuccStart.begin(), CondSuccStart.end() - 1);
+    Cursor.insert(Cursor.end(), CondPredStart.begin(), CondPredStart.end() - 1);
+    for (unsigned EI = 0; EI != CondEdges.size(); ++EI) {
+      CondSuccIdx[Cursor[CondEdges[EI].SrcComp]++] = EI;
+      CondPredIdx[Cursor[NumComps + CondEdges[EI].DstComp]++] = EI;
+    }
   }
 
   // Heights over the condensation's omega-0 edges at zero internal
@@ -217,7 +242,7 @@ SchedulerImpl::SchedulerImpl(const DepGraph &G, const MachineDescription &MD,
     int64_t H = 1;
     if (Comps[C].size() == 1)
       H = std::max(1, G.unit(Comps[C][0]).length());
-    for (unsigned EIdx : CondSuccs[C]) {
+    for (unsigned EIdx : condSuccs(C)) {
       const CondEdge &E = CondEdges[EIdx];
       if (E.Omega == 0)
         H = std::max(H, BaseCompHeight[E.DstComp] + E.Delay);
@@ -232,7 +257,7 @@ bool SchedulerImpl::scheduleComponent(unsigned C, unsigned S, SlotOrder Order,
                                       ComponentScratch &Scr,
                                       SchedulerStats &Stats,
                                       IntervalFailure &Fail) const {
-  const std::vector<unsigned> &Members = Comps[C];
+  std::span<const unsigned> Members = Comps[C];
   const CompInfo &Info = Infos[C];
   const SCCClosure &Cl = Closures[Info.ClosureIdx];
   const unsigned N = static_cast<unsigned>(Members.size());
@@ -466,7 +491,7 @@ SchedulerImpl::tryIntervalImpl(unsigned S, SchedulerStats &Stats,
     HeightBuf.resize(NumComps);
     for (unsigned C = NumComps; C-- != 0;) {
       int64_t H = AggLen[C];
-      for (unsigned EIdx : CondSuccs[C]) {
+      for (unsigned EIdx : condSuccs(C)) {
         const CondEdge &E = CondEdges[EIdx];
         if (E.Omega == 0)
           H = std::max(H, HeightBuf[E.DstComp] + E.Delay +
@@ -507,7 +532,7 @@ SchedulerImpl::tryIntervalImpl(unsigned S, SchedulerStats &Stats,
     }
 
     int64_t Lo = 0;
-    for (unsigned EIdx : CondPreds[C]) {
+    for (unsigned EIdx : condPreds(C)) {
       const CondEdge &E = CondEdges[EIdx];
       assert(CompStart[E.SrcComp] != NegInf &&
              "condensation edges all go forward");
@@ -537,7 +562,7 @@ SchedulerImpl::tryIntervalImpl(unsigned S, SchedulerStats &Stats,
     }
     ++NumPlaced;
 
-    for (unsigned EIdx : CondSuccs[C])
+    for (unsigned EIdx : condSuccs(C))
       if (--PredsLeft[CondEdges[EIdx].DstComp] == 0)
         Ready.push_back(CondEdges[EIdx].DstComp);
   }

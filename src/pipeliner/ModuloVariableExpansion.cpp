@@ -11,85 +11,104 @@
 #include "swp/Support/Trace.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 using namespace swp;
 
-std::set<unsigned>
-swp::mveEligibleRegs(const std::vector<ScheduleUnit> &Units,
-                     const std::set<unsigned> &LiveOut, const Program &P) {
+void swp::mveEligibleRegs(const std::vector<ScheduleUnit> &Units,
+                          std::span<const uint8_t> LiveOut, const Program &P,
+                          std::vector<uint8_t> &Eligible) {
   // First access per register in program order; writes must win and be
   // unpredicated for eligibility.
-  std::set<unsigned> SeenRead, FirstWriteUnpred, FirstWritePred;
+  enum : uint8_t { Unseen, SeenRead, FirstWriteUnpred, FirstWritePred };
+  std::vector<uint8_t> &First = Eligible;
+  First.assign(P.numVRegs(), Unseen);
   for (const ScheduleUnit &U : Units) {
     // Within a unit, reads happen logically before the unit's writes for
     // accumulator-style single-op recurrences, so visit reads first.
     for (const ScheduleUnit::RegRead &R : U.reads())
-      if (!FirstWriteUnpred.count(R.R.Id) && !FirstWritePred.count(R.R.Id))
-        SeenRead.insert(R.R.Id);
+      if (First[R.R.Id] == Unseen)
+        First[R.R.Id] = SeenRead;
     for (const UnitOp &UO : U.ops()) {
       if (!UO.Op.Def.isValid())
         continue;
-      unsigned Id = UO.Op.Def.Id;
-      if (SeenRead.count(Id) || FirstWriteUnpred.count(Id) ||
-          FirstWritePred.count(Id))
-        continue;
-      (UO.Preds.empty() ? FirstWriteUnpred : FirstWritePred).insert(Id);
+      uint8_t &F = First[UO.Op.Def.Id];
+      if (F == Unseen)
+        F = UO.Preds.empty() ? FirstWriteUnpred : FirstWritePred;
     }
   }
+  for (unsigned Id = 0; Id != First.size(); ++Id)
+    First[Id] = First[Id] == FirstWriteUnpred &&
+                !(Id < LiveOut.size() && LiveOut[Id]) &&
+                !P.vregInfo(VReg(Id)).IsLiveIn;
+}
+
+std::set<unsigned>
+swp::mveEligibleRegs(const std::vector<ScheduleUnit> &Units,
+                     const std::set<unsigned> &LiveOut, const Program &P) {
+  std::vector<uint8_t> LiveOutMask(P.numVRegs(), 0), Mask;
+  for (unsigned Id : LiveOut)
+    if (Id < LiveOutMask.size())
+      LiveOutMask[Id] = 1;
+  mveEligibleRegs(Units, LiveOutMask, P, Mask);
   std::set<unsigned> Eligible;
-  for (unsigned Id : FirstWriteUnpred) {
-    if (LiveOut.count(Id))
-      continue;
-    if (P.vregInfo(VReg(Id)).IsLiveIn)
-      continue;
-    Eligible.insert(Id);
-  }
+  for (unsigned Id = 0; Id != Mask.size(); ++Id)
+    if (Mask[Id])
+      Eligible.insert(Eligible.end(), Id);
   return Eligible;
 }
 
 MVEPlan swp::planModuloVariableExpansion(
     const std::vector<ScheduleUnit> &Units, const Schedule &Sched,
-    unsigned II, const std::set<unsigned> &Expanded, MVEPolicy Policy) {
+    unsigned II, std::span<const uint8_t> Expanded, MVEPolicy Policy) {
   MVEPlan Plan;
   SWP_TRACE_SPAN(MveSpan, "mvePlan");
-  if (Policy == MVEPolicy::Disabled || Expanded.empty())
+  if (Policy == MVEPolicy::Disabled ||
+      std::all_of(Expanded.begin(), Expanded.end(),
+                  [](uint8_t F) { return F == 0; }))
     return Plan;
+  auto IsExpanded = [&](unsigned Id) {
+    return Id < Expanded.size() && Expanded[Id];
+  };
 
   // Lifetime endpoints per expanded register: earliest commit, last read.
-  std::map<unsigned, int64_t> FirstCommit, LastRead;
+  constexpr int64_t None = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> FirstCommit(Expanded.size(), None),
+      LastRead(Expanded.size(), None);
   for (unsigned I = 0; I != Units.size(); ++I) {
     if (!Sched.isScheduled(I))
       continue;
     int64_t T = Sched.startOf(I);
     for (const ScheduleUnit::RegWrite &W : Units[I].writes()) {
-      if (!Expanded.count(W.R.Id))
+      if (!IsExpanded(W.R.Id))
         continue;
       int64_t Commit = T + W.Offset + W.Latency;
-      auto [It, New] = FirstCommit.try_emplace(W.R.Id, Commit);
-      if (!New)
-        It->second = std::min(It->second, Commit);
+      int64_t &F = FirstCommit[W.R.Id];
+      F = F == None ? Commit : std::min(F, Commit);
     }
     for (const ScheduleUnit::RegRead &R : Units[I].reads()) {
-      if (!Expanded.count(R.R.Id))
+      if (!IsExpanded(R.R.Id))
         continue;
       int64_t Read = T + R.Offset;
-      auto [It, New] = LastRead.try_emplace(R.R.Id, Read);
-      if (!New)
-        It->second = std::max(It->second, Read);
+      int64_t &L = LastRead[R.R.Id];
+      L = L == None ? Read : std::max(L, Read);
     }
   }
 
   // q_i = ceil(lifetime / s): values alive concurrently (section 2.3).
-  std::map<unsigned, unsigned> Q;
-  for (const auto &[Id, Commit] : FirstCommit) {
-    auto RIt = LastRead.find(Id);
-    if (RIt == LastRead.end()) {
-      Q[Id] = 1; // Written but never read: one location suffices.
+  // Ascending register order; Q holds (register, q_i) pairs.
+  std::vector<std::pair<unsigned, unsigned>> Q;
+  for (unsigned Id = 0; Id != FirstCommit.size(); ++Id) {
+    if (FirstCommit[Id] == None)
+      continue;
+    if (LastRead[Id] == None) {
+      Q.push_back({Id, 1}); // Written but never read: one location suffices.
       continue;
     }
-    int64_t Life = RIt->second - Commit + 1;
-    Q[Id] = static_cast<unsigned>(std::max<int64_t>(1, ceilDiv(Life, II)));
+    int64_t Life = LastRead[Id] - FirstCommit[Id] + 1;
+    Q.push_back(
+        {Id, static_cast<unsigned>(std::max<int64_t>(1, ceilDiv(Life, II)))});
   }
   if (Q.empty())
     return Plan;
@@ -102,7 +121,7 @@ MVEPlan swp::planModuloVariableExpansion(
       U = lcm(U, Qi);
     Plan.Unroll = static_cast<unsigned>(U);
     for (const auto &[Id, Qi] : Q)
-      Plan.Copies[Id] = Qi;
+      Plan.Copies.emplace_hint(Plan.Copies.end(), Id, Qi);
     if (MveSpan.active())
       MveSpan.args("\"policy\": \"min-registers\", \"unroll\": " +
                    std::to_string(Plan.Unroll) +
@@ -117,11 +136,21 @@ MVEPlan swp::planModuloVariableExpansion(
     U = std::max(U, Qi);
   Plan.Unroll = U;
   for (const auto &[Id, Qi] : Q)
-    Plan.Copies[Id] =
-        static_cast<unsigned>(smallestDivisorAtLeast(U, Qi));
+    Plan.Copies.emplace_hint(
+        Plan.Copies.end(), Id,
+        static_cast<unsigned>(smallestDivisorAtLeast(U, Qi)));
   if (MveSpan.active())
     MveSpan.args("\"policy\": \"min-code-size\", \"unroll\": " +
                  std::to_string(Plan.Unroll) +
                  ", \"regs\": " + std::to_string(Q.size()));
   return Plan;
+}
+
+MVEPlan swp::planModuloVariableExpansion(
+    const std::vector<ScheduleUnit> &Units, const Schedule &Sched,
+    unsigned II, const std::set<unsigned> &Expanded, MVEPolicy Policy) {
+  std::vector<uint8_t> Mask(Expanded.empty() ? 0 : *Expanded.rbegin() + 1, 0);
+  for (unsigned Id : Expanded)
+    Mask[Id] = 1;
+  return planModuloVariableExpansion(Units, Sched, II, Mask, Policy);
 }

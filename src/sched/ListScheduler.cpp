@@ -54,6 +54,7 @@ Schedule swp::listSchedule(const DepGraph &G, const MachineDescription &MD) {
   unsigned N = G.numNodes();
   Schedule Sched(N);
   ReservationTable RT(MD);
+  RT.reserve(2 * N);
   std::vector<int64_t> Height = computeHeights(G);
 
   std::vector<unsigned> PredsLeft(N, 0);
@@ -62,6 +63,7 @@ Schedule swp::listSchedule(const DepGraph &G, const MachineDescription &MD) {
       ++PredsLeft[E.Dst];
 
   std::vector<unsigned> Ready;
+  Ready.reserve(N);
   for (unsigned I = 0; I != N; ++I)
     if (PredsLeft[I] == 0)
       Ready.push_back(I);

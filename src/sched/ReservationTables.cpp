@@ -10,11 +10,12 @@ using namespace swp;
 
 bool ReservationTable::canPlace(const ScheduleUnit &U, int T) const {
   assert(T >= 0 && "straight-line schedules start at cycle 0");
+  const size_t NumRes = MD.numResources();
   for (const ResourceUse &Use : U.reservation()) {
-    size_t Cycle = static_cast<size_t>(T) + Use.Cycle;
-    if (Cycle >= Rows.size())
+    size_t Slot = (static_cast<size_t>(T) + Use.Cycle) * NumRes + Use.ResId;
+    if (Slot >= Rows.size())
       continue; // Untouched cycles are free.
-    if (Rows[Cycle][Use.ResId] + Use.Units > MD.resource(Use.ResId).Units)
+    if (Rows[Slot] + Use.Units > MD.resource(Use.ResId).Units)
       return false;
   }
   return true;
@@ -22,18 +23,19 @@ bool ReservationTable::canPlace(const ScheduleUnit &U, int T) const {
 
 void ReservationTable::place(const ScheduleUnit &U, int T) {
   assert(canPlace(U, T) && "placing an over-subscribed unit");
+  const size_t NumRes = MD.numResources();
   for (const ResourceUse &Use : U.reservation()) {
     size_t Cycle = static_cast<size_t>(T) + Use.Cycle;
-    if (Cycle >= Rows.size())
-      Rows.resize(Cycle + 1, std::vector<unsigned>(MD.numResources(), 0));
-    Rows[Cycle][Use.ResId] += Use.Units;
+    if ((Cycle + 1) * NumRes > Rows.size())
+      Rows.resize((Cycle + 1) * NumRes, 0);
+    Rows[Cycle * NumRes + Use.ResId] += Use.Units;
   }
 }
 
 unsigned ReservationTable::usedAt(int T, unsigned Res) const {
-  if (T < 0 || static_cast<size_t>(T) >= Rows.size())
+  if (T < 0 || T >= horizon())
     return 0;
-  return Rows[T][Res];
+  return Rows[static_cast<size_t>(T) * MD.numResources() + Res];
 }
 
 ModuloReservationTable::ModuloReservationTable(const MachineDescription &MD,

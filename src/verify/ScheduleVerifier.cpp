@@ -10,6 +10,7 @@
 #include "swp/Verify/ScheduleVerifier.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -181,6 +182,16 @@ VerifyReport swp::verifyMVEPlan(const std::vector<ScheduleUnit> &Units,
                                 const Schedule &Sched, unsigned II,
                                 const MVEPlan &Plan,
                                 const std::set<unsigned> &Expanded) {
+  std::vector<uint8_t> Mask(Expanded.empty() ? 0 : *Expanded.rbegin() + 1, 0);
+  for (unsigned Id : Expanded)
+    Mask[Id] = 1;
+  return verifyMVEPlan(Units, Sched, II, Plan, Mask);
+}
+
+VerifyReport swp::verifyMVEPlan(const std::vector<ScheduleUnit> &Units,
+                                const Schedule &Sched, unsigned II,
+                                const MVEPlan &Plan,
+                                std::span<const uint8_t> Expanded) {
   VerifyReport R;
   if (II == 0) {
     R.add(VerifyErrorKind::BadII, "initiation interval is zero");
@@ -190,35 +201,40 @@ VerifyReport swp::verifyMVEPlan(const std::vector<ScheduleUnit> &Units,
     R.add(VerifyErrorKind::MVEBadUnroll, "kernel unroll degree is zero");
     return R;
   }
+  auto IsExpanded = [&](unsigned Id) {
+    return Id < Expanded.size() && Expanded[Id];
+  };
 
   // Recompute each expanded register's live range under the schedule: the
   // value becomes visible at the earliest write commit and dies at the
   // last read. Iteration k and iteration k + copies share one physical
   // location, so the overlap-freedom condition is copies * II >= range.
-  std::map<unsigned, int64_t> FirstCommit, LastRead;
+  constexpr int64_t None = std::numeric_limits<int64_t>::min();
+  std::vector<int64_t> FirstCommit(Expanded.size(), None),
+      LastRead(Expanded.size(), None);
   for (unsigned I = 0; I != Units.size(); ++I) {
     if (!Sched.isScheduled(I))
       continue; // verifyModuloSchedule reports this.
     int64_t T = Sched.startOf(I);
     for (const ScheduleUnit::RegWrite &W : Units[I].writes()) {
-      if (!Expanded.count(W.R.Id))
+      if (!IsExpanded(W.R.Id))
         continue;
       int64_t Commit = T + W.Offset + W.Latency;
-      auto [It, New] = FirstCommit.try_emplace(W.R.Id, Commit);
-      if (!New)
-        It->second = std::min(It->second, Commit);
+      int64_t &F = FirstCommit[W.R.Id];
+      F = F == None ? Commit : std::min(F, Commit);
     }
     for (const ScheduleUnit::RegRead &Rd : Units[I].reads()) {
-      if (!Expanded.count(Rd.R.Id))
+      if (!IsExpanded(Rd.R.Id))
         continue;
       int64_t Read = T + Rd.Offset;
-      auto [It, New] = LastRead.try_emplace(Rd.R.Id, Read);
-      if (!New)
-        It->second = std::max(It->second, Read);
+      int64_t &L = LastRead[Rd.R.Id];
+      L = L == None ? Read : std::max(L, Read);
     }
   }
 
-  for (unsigned Id : Expanded) {
+  for (unsigned Id = 0; Id != Expanded.size(); ++Id) {
+    if (!Expanded[Id])
+      continue;
     unsigned Copies = Plan.copiesOf(Id);
     if (Copies == 0 || Plan.Unroll % Copies != 0) {
       R.add(VerifyErrorKind::MVEBadUnroll,
@@ -228,15 +244,13 @@ VerifyReport swp::verifyMVEPlan(const std::vector<ScheduleUnit> &Units,
                 std::to_string(Plan.Unroll));
       continue;
     }
-    auto CIt = FirstCommit.find(Id);
-    auto RIt = LastRead.find(Id);
-    if (CIt == FirstCommit.end() || RIt == LastRead.end())
+    if (FirstCommit[Id] == None || LastRead[Id] == None)
       continue; // Never written or never read: one location suffices.
-    int64_t Range = RIt->second - CIt->second + 1;
+    int64_t Range = LastRead[Id] - FirstCommit[Id] + 1;
     if (Range > static_cast<int64_t>(Copies) * II) {
       std::ostringstream OS;
       OS << "register v" << Id << " lives " << Range << " cycles (commit "
-         << CIt->second << " .. last read " << RIt->second << ") but "
+         << FirstCommit[Id] << " .. last read " << LastRead[Id] << ") but "
          << Copies << " copies at II=" << II << " cover only "
          << static_cast<int64_t>(Copies) * II
          << ": iteration k+" << Copies << " overwrites a live value";
