@@ -56,11 +56,6 @@ public:
   std::span<const unsigned> operator[](unsigned C) const {
     return {Members.data() + Begin[C], Begin[C + 1] - Begin[C]};
   }
-  /// Members of component \p C, copied (for callers that keep them).
-  std::vector<unsigned> copyOf(unsigned C) const {
-    std::span<const unsigned> M = (*this)[C];
-    return std::vector<unsigned>(M.begin(), M.end());
-  }
 
 private:
   friend class DepGraph;

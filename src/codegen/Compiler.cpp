@@ -157,6 +157,14 @@ private:
       }
     OpCount.clear();
   }
+  /// reserveOps for every member op of \p G placed by \p Sched from
+  /// \p Base.
+  void reserveOps(const DepGraph &G, const Schedule &Sched, size_t Base) {
+    for (unsigned I = 0; I != G.numNodes(); ++I)
+      for (const UnitOp &UO : G.unit(I).ops())
+        countOp(Sched.startOf(I) + UO.Offset);
+    reserveOps(Base);
+  }
   void padDrain() { Cursor = std::max(Cursor, Frontier) + Pad; }
 
   //===--- Region emission --------------------------------------------------===
@@ -512,10 +520,7 @@ void CompilerImpl::emitSegment(const std::vector<const Stmt *> &Stmts) {
   Schedule Sched = listSchedule(G, MD);
 
   size_t Base = Cursor;
-  for (unsigned I = 0; I != G.numNodes(); ++I)
-    for (const UnitOp &UO : G.unit(I).ops())
-      countOp(Sched.startOf(I) + UO.Offset);
-  reserveOps(Base);
+  reserveOps(G, Sched, Base);
   for (unsigned I = 0; I != G.numNodes(); ++I)
     for (const UnitOp &UO : G.unit(I).ops()) {
       instAt(Base + Sched.startOf(I) + UO.Offset)
@@ -568,10 +573,7 @@ size_t CompilerImpl::emitUnpipelinedRun(const DepGraph &G,
                                         unsigned NodesPerCopy,
                                         unsigned AguStep) {
   size_t Base = Cursor;
-  for (unsigned I = 0; I != G.numNodes(); ++I)
-    for (const UnitOp &UO : G.unit(I).ops())
-      countOp(Sched.startOf(I) + UO.Offset);
-  reserveOps(Base);
+  reserveOps(G, Sched, Base);
   for (unsigned I = 0; I != G.numNodes(); ++I) {
     int64_t K = NodesPerCopy ? I / NodesPerCopy : 0;
     for (const UnitOp &UO : G.unit(I).ops())

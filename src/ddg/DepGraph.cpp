@@ -120,7 +120,7 @@ DepGraph::stronglyConnectedComponents() const {
   std::vector<std::vector<unsigned>> Out;
   Out.reserve(L.size());
   for (unsigned C = 0; C != L.size(); ++C)
-    Out.push_back(L.copyOf(C));
+    Out.emplace_back(L[C].begin(), L[C].end());
   return Out;
 }
 

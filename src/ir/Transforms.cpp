@@ -351,15 +351,17 @@ private:
 /// unavailable, and the record is dropped.
 class ValueNumberer {
 public:
-  explicit ValueNumberer(Program &P)
-      : P(P), RegHead(P.numVRegs(), None), ArrayHead(P.numArrays(), None) {
+  explicit ValueNumberer(Program &P) : P(P) {
+    Regs.Head.assign(P.numVRegs(), None);
+    Arrays.Head.assign(P.numArrays(), None);
     // Room for every op of the program in one list; longer keys or more
     // records still grow the pools.
     unsigned NumOps = countOps(P.Body);
     Words.reserve(NumOps * 8);
     Slots.reserve(NumOps);
     Uses.reserve(NumOps * 4);
-    Touched.reserve(NumOps * 4);
+    Regs.Touched.reserve(NumOps * 4);
+    Arrays.Touched.reserve(NumOps);
   }
 
   unsigned run() {
@@ -380,6 +382,12 @@ private:
   struct Use {
     unsigned Slot;
     unsigned Next;
+  };
+  /// The head of each id's record list (None when empty), plus the ids
+  /// whose list is nonempty, so flush() resets only those.
+  struct IdHeads {
+    std::vector<unsigned> Head;
+    std::vector<unsigned> Touched;
   };
 
   /// Encodes \p Op's key into the tail of Words; returns its hash.
@@ -427,31 +435,30 @@ private:
     return None;
   }
 
-  void record(std::vector<unsigned> &Head, unsigned Id, unsigned SlotId) {
-    if (Head[Id] == None)
-      Touched.push_back(&Head == &RegHead ? Id : Id | ArrayBit);
-    Uses.push_back({SlotId, Head[Id]});
-    Head[Id] = static_cast<unsigned>(Uses.size() - 1);
+  /// Records slot \p SlotId against \p Id's list in \p Heads.
+  void record(IdHeads &Heads, unsigned Id, unsigned SlotId) {
+    if (Heads.Head[Id] == None)
+      Heads.Touched.push_back(Id);
+    Uses.push_back({SlotId, Heads.Head[Id]});
+    Heads.Head[Id] = static_cast<unsigned>(Uses.size() - 1);
   }
 
   /// Makes every expression recorded against \p Head[Id] unavailable and
   /// drops the record list.
-  void invalidate(std::vector<unsigned> &Head, unsigned Id) {
-    for (unsigned U = Head[Id]; U != None; U = Uses[U].Next)
+  void invalidate(IdHeads &Heads, unsigned Id) {
+    for (unsigned U = Heads.Head[Id]; U != None; U = Uses[U].Next)
       Slots[Uses[U].Slot].Holder = None;
-    Head[Id] = None;
+    Heads.Head[Id] = None;
   }
 
   /// Forgets every available expression (entering or leaving a nested
   /// construct).
   void flush() {
-    for (unsigned T : Touched) {
-      if (T & ArrayBit)
-        ArrayHead[T & ~ArrayBit] = None;
-      else
-        RegHead[T] = None;
+    for (IdHeads *Heads : {&Regs, &Arrays}) {
+      for (unsigned Id : Heads->Touched)
+        Heads->Head[Id] = None;
+      Heads->Touched.clear();
     }
-    Touched.clear();
     Slots.clear();
     Uses.clear();
     Words.clear();
@@ -498,7 +505,7 @@ private:
           // fresh availability is registered (including against later
           // redefinitions of its own holder). An op reading its own def
           // (x = x + y) is never registered: its key names the old x.
-          invalidate(RegHead, O.Def.Id);
+          invalidate(Regs, O.Def.Id);
           unsigned SlotId = Found;
           if (SlotId == None) {
             SlotId = static_cast<unsigned>(Slots.size());
@@ -510,21 +517,21 @@ private:
           }
           Slots[SlotId].Holder = O.Def.Id;
           for (const VReg &R : O.Operands)
-            record(RegHead, R.Id, SlotId);
+            record(Regs, R.Id, SlotId);
           if (O.Mem.isValid() && O.Mem.Index.hasAddend())
-            record(RegHead, O.Mem.Index.Addend.Id, SlotId);
-          record(RegHead, O.Def.Id, SlotId);
+            record(Regs, O.Mem.Index.Addend.Id, SlotId);
+          record(Regs, O.Def.Id, SlotId);
           if (isLoad(O.Opc))
-            record(ArrayHead, O.Mem.ArrayId, SlotId);
+            record(Arrays, O.Mem.ArrayId, SlotId);
           Registered = true;
         } else {
           Words.resize(KeyBegin);
         }
       }
       if (O.Def.isValid() && !Registered)
-        invalidate(RegHead, O.Def.Id);
+        invalidate(Regs, O.Def.Id);
       if (isStore(O.Opc))
-        invalidate(ArrayHead, O.Mem.ArrayId);
+        invalidate(Arrays, O.Mem.ArrayId);
     }
   }
 
@@ -538,16 +545,12 @@ private:
            O.Mem.Index.Addend == O.Def;
   }
 
-  /// Tags array ids in Touched.
-  static constexpr unsigned ArrayBit = 1u << 31;
-
   Program &P;
   std::vector<int64_t> Words;
   std::vector<Slot> Slots;
   std::vector<Use> Uses;
-  std::vector<unsigned> RegHead;   ///< Per register: its record list.
-  std::vector<unsigned> ArrayHead; ///< Per array: its record list.
-  std::vector<unsigned> Touched;   ///< Nonempty heads, for flush().
+  IdHeads Regs;   ///< Record lists per register.
+  IdHeads Arrays; ///< Record lists per array (loads only).
   size_t KeyBegin = 0;
   unsigned Rewritten = 0;
 };
