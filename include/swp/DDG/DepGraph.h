@@ -48,8 +48,7 @@ struct DepEdge {
 };
 
 /// Strongly connected components in one flat array, in topological order
-/// of the condensation: component C's members are
-/// members()[begin(C) .. begin(C + 1)).
+/// of the condensation; (*this)[C] views component C's members.
 class SCCList {
 public:
   unsigned size() const { return static_cast<unsigned>(Begin.size()) - 1; }
@@ -101,7 +100,6 @@ public:
         return *this;
       }
       bool operator!=(const iterator &O) const { return Cur != O.Cur; }
-      bool operator==(const iterator &O) const { return Cur == O.Cur; }
 
     private:
       friend class EdgeRange;
@@ -113,7 +111,6 @@ public:
     };
     iterator begin() const { return {Links, Side, First}; }
     iterator end() const { return {Links, Side, None}; }
-    bool empty() const { return First == None; }
 
   private:
     friend class DepGraph;

@@ -14,7 +14,7 @@ namespace {
 
 /// One register or queue access; Seq is its position in program order.
 struct Access {
-  unsigned Key; ///< Register id, or queue channel and direction.
+  uint64_t Key; ///< Register id, or queue channel and direction.
   unsigned Seq;
   unsigned Unit;
   int Offset;
@@ -51,6 +51,14 @@ std::span<const uint8_t> denseIds(const std::set<unsigned> &Set,
 
 bool contains(std::span<const uint8_t> Mask, unsigned Id) {
   return Id < Mask.size() && Mask[Id] != 0;
+}
+
+/// One past the last access of the group (equal Key) starting at \p Begin.
+size_t groupEnd(const std::vector<Access> &Accs, size_t Begin) {
+  size_t End = Begin;
+  while (End != Accs.size() && Accs[End].Key == Accs[Begin].Key)
+    ++End;
+  return End;
 }
 
 class Builder {
@@ -106,20 +114,18 @@ private:
     std::sort(QueueAccs.begin(), QueueAccs.end());
     size_t MaxGroup = 0;
     for (size_t Begin = 0, End; Begin != RegAccs.size(); Begin = End) {
-      for (End = Begin; End != RegAccs.size() &&
-                        RegAccs[End].Key == RegAccs[Begin].Key;
-           ++End) {
-      }
+      End = groupEnd(RegAccs, Begin);
       MaxGroup = std::max(MaxGroup, End - Begin);
     }
     Writes.reserve(MaxGroup);
     Reads.reserve(MaxGroup);
   }
 
-  /// Orders queue sequences by channel, then receives before sends.
-  static unsigned queueKey(int Queue, bool IsSend) {
-    assert(Queue >= 0 && "queue channels are nonnegative");
-    return static_cast<unsigned>(Queue) << 1 | static_cast<unsigned>(IsSend);
+  /// Orders queue sequences by channel (signed), then receives before
+  /// sends.
+  static uint64_t queueKey(int Queue, bool IsSend) {
+    uint64_t Biased = static_cast<uint32_t>(Queue) ^ 0x80000000u;
+    return Biased << 1 | static_cast<uint64_t>(IsSend);
   }
 
   void addEdge(unsigned Src, unsigned Dst, int Delay, unsigned Omega,
@@ -133,10 +139,8 @@ private:
 
   void buildRegisterDeps() {
     for (size_t Begin = 0, End; Begin != RegAccs.size(); Begin = End) {
-      unsigned RegId = RegAccs[Begin].Key;
-      for (End = Begin; End != RegAccs.size() && RegAccs[End].Key == RegId;
-           ++End) {
-      }
+      End = groupEnd(RegAccs, Begin);
+      unsigned RegId = static_cast<unsigned>(RegAccs[Begin].Key);
       bool IsExpanded = contains(Expanded, RegId);
       // Partition while keeping program order (unit index order).
       Writes.clear();
@@ -298,10 +302,7 @@ private:
 
   void buildQueueDeps() {
     for (size_t Begin = 0, End; Begin != QueueAccs.size(); Begin = End) {
-      for (End = Begin; End != QueueAccs.size() &&
-                        QueueAccs[End].Key == QueueAccs[Begin].Key;
-           ++End) {
-      }
+      End = groupEnd(QueueAccs, Begin);
       const Access *Seq = QueueAccs.data() + Begin;
       size_t Size = End - Begin;
       for (size_t I = 0; I + 1 < Size; ++I)
