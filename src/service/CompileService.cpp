@@ -184,15 +184,17 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
     Key = jobKey(*P, *Job.MD, Job.Opts);
   }
 
-  if (Cfg.MemoizeResults) {
-    CompileResult Hit;
-    if (memoLookup(Key, Hit)) {
-      MemoHits.fetch_add(1, std::memory_order_relaxed);
-      ServiceMetrics::get().MemoHits.inc();
-      SWP_TRACE_INSTANT("service.memoHit", {});
-      return Hit;
-    }
-  }
+  CompileResult Hit;
+  auto MemoHit = [&] {
+    if (!Cfg.MemoizeResults || !memoLookup(Key, Hit))
+      return false;
+    MemoHits.fetch_add(1, std::memory_order_relaxed);
+    ServiceMetrics::get().MemoHits.inc();
+    SWP_TRACE_INSTANT("service.memoHit", {});
+    return true;
+  };
+  if (MemoHit())
+    return Hit;
 
   // Cancellable (tracker-armed) jobs bypass single-flight: a leader whose
   // caller cancels it would publish an aborted result to followers who
@@ -215,6 +217,12 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
     if (It != Flights.end()) {
       F = It->second;
     } else {
+      // A leader publishes to the memo before it retires its flight, so a
+      // request that missed the memo above and finds no flight here may
+      // have raced a leader that just finished: look again before
+      // compiling the same program a second time.
+      if (MemoHit())
+        return Hit;
       F = std::make_shared<Flight>();
       Flights.emplace(Key, F);
       Leader = true;
