@@ -205,24 +205,6 @@ struct SessionConfig {
   /// — and rejected by validate() — when Service is injected.
   bool MemoizeResults = true;
 
-  /// Telemetry hook: when non-empty, the session enables the global
-  /// metrics registry and owns a MetricsSink streaming periodic JSONL
-  /// snapshots to this path for the session's lifetime (final flush on
-  /// destruction). See swp/Metrics/MetricsSink.h and DESIGN.md §12.
-  std::string MetricsJsonl;
-
-  /// Flush interval for MetricsJsonl in milliseconds; 0 writes only the
-  /// final snapshot.
-  unsigned MetricsFlushMs = 1000;
-
-  /// Scrape hook: when >= 0, the session enables the global metrics
-  /// registry and owns a MetricsServer (swp/Metrics/MetricsServer.h)
-  /// listening on 127.0.0.1:<MetricsPort> for the session's lifetime;
-  /// 0 binds an ephemeral port — read it back with metricsPort(). A
-  /// port that fails to bind is a config error, reported like every
-  /// other through configError(). -1 (the default) serves nothing.
-  int MetricsPort = -1;
-
   /// First incoherence in this config ("" when coherent): an injected
   /// Service combined with MemoizeResults = false (it configures the
   /// private service the injection replaces — it would be silently
@@ -252,10 +234,6 @@ public:
 
   /// The config incoherence found at construction ("" when healthy).
   std::string configError() const;
-
-  /// The port the SessionConfig::MetricsPort scrape endpoint actually
-  /// bound (the kernel's pick under port 0); 0 when no server runs.
-  uint16_t metricsPort() const;
 
   /// Queues one request and returns immediately. The handle's future
   /// resolves when the compile finishes (or the request fails up

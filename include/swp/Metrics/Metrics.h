@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Always-on aggregate service metrics: a process-wide registry of typed
-/// counters, gauges, and fixed-bucket (log2) histograms, complementing
-/// the per-compile trace layer (swp/Support/Trace.h) with the numbers a
-/// fleet operator asks of a long-running compile service — request
-/// latency percentiles, memo hit ratios, queue depth, and the
+/// Aggregate service metrics: a process-wide registry of typed counters,
+/// gauges, and fixed-bucket (log2) histograms, complementing the
+/// per-compile trace layer (swp/Support/Trace.h) with process-wide
+/// numbers — request latency, memo hit ratios, queue depth, and the
 /// II-vs-MII optimality gap.
 ///
 /// Recording goes through per-thread shards: each thread lazily attaches
@@ -31,11 +30,14 @@
 /// prefixed; monotonic counters end in `_total`; microsecond latency
 /// histograms end in `_us`; labels are a preformatted Prometheus label
 /// body without braces (`priority="high"`). Registration is idempotent:
-/// the same (name, labels) returns a handle to the same cells.
+/// the same (name, labels) returns a handle to the same cells. Each fact
+/// has one series: a family split by `target` has no unlabeled copy, and
+/// its aggregate is the sum over labels (counterTotal,
+/// histogramCountTotal).
 ///
-/// Exposition: MetricsSnapshot renders Prometheus text-format
-/// (toPrometheusText) and canonical single-line sorted-key JSON
-/// (toJson); MetricsSink (MetricsSink.h) streams periodic JSONL.
+/// Exposition: one format. MetricsSnapshot::toPrometheusText renders the
+/// Prometheus text format (`w2c --metrics[-out]`); in-process readers use
+/// snapshot() directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -121,8 +123,7 @@ public:
   }
 
   /// Inclusive upper bound of bucket \p I (UINT64_MAX for the overflow
-  /// bucket). This is also the value percentile() reports for samples
-  /// landing in the bucket.
+  /// bucket); the `le` label of its Prometheus `_bucket` line.
   static uint64_t bucketUpperBound(unsigned I) {
     if (I >= NumBuckets - 1)
       return std::numeric_limits<uint64_t>::max();
@@ -166,12 +167,6 @@ struct SnapshotHistogram {
   std::array<uint64_t, Histogram::NumBuckets> Buckets{};
   uint64_t Count = 0;
   uint64_t Sum = 0;
-
-  /// Upper bound of the bucket containing the rank-ceil(P*Count) sample
-  /// (0 when empty). Exact for the quantized distribution the histogram
-  /// stores: equals Histogram::bucketUpperBound(bucketIndex(v)) of the
-  /// true percentile sample v.
-  uint64_t percentile(double P) const;
 };
 
 /// Point-in-time merge of every metric in a registry. Families are
@@ -199,10 +194,6 @@ struct MetricsSnapshot {
   /// Prometheus exposition text format: # HELP / # TYPE per family,
   /// cumulative _bucket{le="..."} + _sum + _count for histograms.
   std::string toPrometheusText() const;
-
-  /// Canonical single-line JSON: {"counters":{...},"gauges":{...},
-  /// "histograms":{...}} with keys ("name" or "name{labels}") sorted.
-  std::string toJson() const;
 };
 
 /// A registry of metrics with per-thread sharded storage. Most code uses
@@ -214,9 +205,9 @@ class MetricsRegistry {
 public:
   /// Cells per shard; registrations beyond this are dropped (handles come
   /// back inert and droppedRegistrations() counts them). Sized for the
-  /// per-target series fan-out: each target a fleet compiles for adds
-  /// labeled copies of the headline latency histograms (33 cells each)
-  /// and outcome counters.
+  /// per-target series fan-out: each target a process compiles for adds
+  /// its own series of the latency histograms (33 cells each) and
+  /// outcome counters.
   static constexpr size_t SlotCapacity = 4096;
 
   MetricsRegistry();

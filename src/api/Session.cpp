@@ -6,8 +6,8 @@
 
 #include "swp/API/Session.h"
 
-#include "swp/Metrics/MetricsServer.h"
-#include "swp/Metrics/MetricsSink.h"
+#include "swp/Metrics/Metrics.h"
+#include "swp/Support/Json.h"
 #include "swp/Support/ThreadPool.h"
 #include "swp/Support/Trace.h"
 
@@ -26,138 +26,97 @@ using namespace swp;
 
 namespace {
 
-/// Request-level fleet metrics, aggregated over every session in the
-/// process. Latency is submit→complete (queue wait + compile) for async
-/// requests, call duration for the synchronous path; every request —
+const char *const OutcomeName = "swp_session_outcomes_total";
+const char *const OutcomeHelp = "Completed session requests, by outcome";
+const char *const LatencyName = "swp_session_latency_us";
+const char *const LatencyHelp =
+    "Submit-to-complete microseconds, by priority class";
+
+/// Request-level metrics, aggregated over every session in the process.
+/// Latency is submit→complete (queue wait + compile) for async requests,
+/// call duration for the synchronous path. Outcome and latency series are
+/// split by `target`, the resolved machine name; requests that fail
+/// before resolving a machine land under target="unknown", so the label
+/// set stays bounded whatever strings callers send. Every request —
 /// including ones failed before compiling — lands in exactly one latency
-/// series and one outcome series, so histogram count == requests holds.
+/// series and one outcome series, so the latency count summed over
+/// labels equals the request count.
 struct SessionMetrics {
   metrics::Counter Submit, CompileNow;
-  metrics::Counter OutOk, OutDegraded, OutError, OutCancelled, OutBudget;
-  metrics::Histogram LatLow, LatNormal, LatHigh, LatSync;
   metrics::Gauge QueueDepth;
+  metrics::CounterFamily OutOk, OutDegraded, OutError, OutCancelled,
+      OutBudget;
+  metrics::HistogramFamily LatLow, LatNormal, LatHigh, LatSync;
 
-  static const SessionMetrics &get() {
-    static SessionMetrics M = [] {
-      auto &R = metrics::MetricsRegistry::global();
-      SessionMetrics M;
-      const char *RN = "swp_session_requests_total";
-      const char *RH = "Session requests, by entry path";
-      M.Submit = R.counter(RN, "path=\"submit\"", RH);
-      M.CompileNow = R.counter(RN, "path=\"compile_now\"", RH);
-      const char *ON = "swp_session_outcomes_total";
-      const char *OH = "Completed session requests, by outcome";
-      M.OutOk = R.counter(ON, "outcome=\"ok\"", OH);
-      M.OutDegraded = R.counter(ON, "outcome=\"degraded\"", OH);
-      M.OutError = R.counter(ON, "outcome=\"error\"", OH);
-      M.OutCancelled = R.counter(ON, "outcome=\"cancelled\"", OH);
-      M.OutBudget = R.counter(ON, "outcome=\"budget_tripped\"", OH);
-      const char *LN = "swp_session_latency_us";
-      const char *LH = "Submit-to-complete microseconds, by priority class";
-      M.LatLow = R.histogram(LN, "priority=\"low\"", LH);
-      M.LatNormal = R.histogram(LN, "priority=\"normal\"", LH);
-      M.LatHigh = R.histogram(LN, "priority=\"high\"", LH);
-      M.LatSync = R.histogram(LN, "priority=\"sync\"", LH);
-      M.QueueDepth = R.gauge("swp_session_queue_depth", "",
-                             "Async requests queued but not yet running");
-      return M;
-    }();
+  static SessionMetrics &get() {
+    static SessionMetrics M;
     return M;
   }
 
-  /// Per-target splits of the outcome and latency series (dynamic
-  /// `target` label sourced from resolved machine names; requests that
-  /// fail before resolving a machine land under target="unknown" so the
-  /// label set stays bounded whatever strings callers send). Kept
-  /// alongside the unlabeled aggregates above, so existing dashboards
-  /// and report tooling keep reading the same series.
-  struct PerTarget {
-    metrics::CounterFamily OutOk, OutDegraded, OutError, OutCancelled,
-        OutBudget;
-    metrics::HistogramFamily LatLow, LatNormal, LatHigh, LatSync;
-
-    PerTarget()
-        : OutOk(reg(), ON(), OH(), "target", {{"outcome", "ok"}}),
-          OutDegraded(reg(), ON(), OH(), "target", {{"outcome", "degraded"}}),
-          OutError(reg(), ON(), OH(), "target", {{"outcome", "error"}}),
-          OutCancelled(reg(), ON(), OH(), "target",
-                       {{"outcome", "cancelled"}}),
-          OutBudget(reg(), ON(), OH(), "target",
-                    {{"outcome", "budget_tripped"}}),
-          LatLow(reg(), LN(), LH(), "target", {{"priority", "low"}}),
-          LatNormal(reg(), LN(), LH(), "target", {{"priority", "normal"}}),
-          LatHigh(reg(), LN(), LH(), "target", {{"priority", "high"}}),
-          LatSync(reg(), LN(), LH(), "target", {{"priority", "sync"}}) {}
-
-    metrics::HistogramFamily &latency(int Priority) {
-      return Priority < 0 ? LatLow : Priority > 0 ? LatHigh : LatNormal;
-    }
-
-    static PerTarget &get() {
-      static PerTarget M;
-      return M;
-    }
-
-  private:
-    static metrics::MetricsRegistry &reg() {
-      return metrics::MetricsRegistry::global();
-    }
-    static const char *ON() { return "swp_session_outcomes_total"; }
-    static const char *OH() {
-      return "Completed session requests, by outcome";
-    }
-    static const char *LN() { return "swp_session_latency_us"; }
-    static const char *LH() {
-      return "Submit-to-complete microseconds, by priority class";
-    }
-  };
-
-  /// Priority classes keep label cardinality fixed whatever ints callers
-  /// pick: negative = low, zero = normal, positive = high.
-  const metrics::Histogram &latency(int Priority) const {
-    return Priority < 0 ? LatLow : Priority > 0 ? LatHigh : LatNormal;
-  }
-
-  /// One latency sample + one outcome count, in both the unlabeled
-  /// aggregate and the per-target split. \p Target must be a resolved
-  /// machine name (or "unknown").
+  /// One latency sample in the request's priority class plus one outcome
+  /// count. \p Target must be a resolved machine name (or "unknown").
   void recordRequest(const CompileResponse &Resp, int Priority,
-                     uint64_t Micros, const std::string &Target) const {
-    latency(Priority).record(Micros);
-    PerTarget::get().latency(Priority).with(Target).record(Micros);
-    recordOutcome(Resp, Target);
+                     uint64_t Micros, const std::string &Target) {
+    latency(Priority).with(Target).record(Micros);
+    outcome(Resp).with(Target).inc();
   }
 
   /// The synchronous-path variant: priority class "sync".
   void recordSyncRequest(const CompileResponse &Resp, uint64_t Micros,
-                         const std::string &Target) const {
-    LatSync.record(Micros);
-    PerTarget::get().LatSync.with(Target).record(Micros);
-    recordOutcome(Resp, Target);
+                         const std::string &Target) {
+    LatSync.with(Target).record(Micros);
+    outcome(Resp).with(Target).inc();
   }
 
-  void recordOutcome(const CompileResponse &Resp,
-                     const std::string &Target) const {
-    auto &T = PerTarget::get();
-    if (Resp.Result.Report.BudgetTripped != BudgetCause::None) {
-      OutBudget.inc();
-      T.OutBudget.with(Target).inc();
-    } else if (Resp.Cancelled) {
-      OutCancelled.inc();
-      T.OutCancelled.with(Target).inc();
-    } else if (!Resp.Ok) {
-      OutError.inc();
-      T.OutError.with(Target).inc();
-    } else {
-      for (const LoopReport &L : Resp.Result.Report.Loops)
-        if (L.Decision == PipelineDecision::Degraded) {
-          OutDegraded.inc();
-          T.OutDegraded.with(Target).inc();
-          return;
-        }
-      OutOk.inc();
-      T.OutOk.with(Target).inc();
-    }
+private:
+  SessionMetrics()
+      : Submit(reg().counter("swp_session_requests_total",
+                             "path=\"submit\"",
+                             "Session requests, by entry path")),
+        CompileNow(reg().counter("swp_session_requests_total",
+                                 "path=\"compile_now\"",
+                                 "Session requests, by entry path")),
+        QueueDepth(reg().gauge("swp_session_queue_depth", "",
+                               "Async requests queued but not yet running")),
+        OutOk(reg(), OutcomeName, OutcomeHelp, "target", {{"outcome", "ok"}}),
+        OutDegraded(reg(), OutcomeName, OutcomeHelp, "target",
+                    {{"outcome", "degraded"}}),
+        OutError(reg(), OutcomeName, OutcomeHelp, "target",
+                 {{"outcome", "error"}}),
+        OutCancelled(reg(), OutcomeName, OutcomeHelp, "target",
+                     {{"outcome", "cancelled"}}),
+        OutBudget(reg(), OutcomeName, OutcomeHelp, "target",
+                  {{"outcome", "budget_tripped"}}),
+        LatLow(reg(), LatencyName, LatencyHelp, "target",
+               {{"priority", "low"}}),
+        LatNormal(reg(), LatencyName, LatencyHelp, "target",
+                  {{"priority", "normal"}}),
+        LatHigh(reg(), LatencyName, LatencyHelp, "target",
+                {{"priority", "high"}}),
+        LatSync(reg(), LatencyName, LatencyHelp, "target",
+                {{"priority", "sync"}}) {}
+
+  static metrics::MetricsRegistry &reg() {
+    return metrics::MetricsRegistry::global();
+  }
+
+  /// Priority classes keep label cardinality fixed whatever ints callers
+  /// pick: negative = low, zero = normal, positive = high.
+  metrics::HistogramFamily &latency(int Priority) {
+    return Priority < 0 ? LatLow : Priority > 0 ? LatHigh : LatNormal;
+  }
+
+  metrics::CounterFamily &outcome(const CompileResponse &Resp) {
+    if (Resp.Result.Report.BudgetTripped != BudgetCause::None)
+      return OutBudget;
+    if (Resp.Cancelled)
+      return OutCancelled;
+    if (!Resp.Ok)
+      return OutError;
+    for (const LoopReport &L : Resp.Result.Report.Loops)
+      if (L.Decision == PipelineDecision::Degraded)
+        return OutDegraded;
+    return OutOk;
   }
 };
 
@@ -177,43 +136,20 @@ uint64_t microsSince(std::chrono::steady_clock::time_point T0) {
 // CompileResponse
 //===----------------------------------------------------------------------===//
 
-static std::string escapeJson(const std::string &S) {
-  std::string R;
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      R += "\\\"";
-      break;
-    case '\\':
-      R += "\\\\";
-      break;
-    case '\n':
-      R += "\\n";
-      break;
-    case '\t':
-      R += "\\t";
-      break;
-    default:
-      R += C;
-    }
-  }
-  return R;
-}
-
 std::string CompileResponse::toJson() const {
   // Sorted keys; optional keys keep their slot when present. The shape
   // is golden-locked (ApiTests SessionResponseGolden).
   std::ostringstream OS;
   OS << "{\n  \"api_version\": \"" << api::versionString() << "\",\n"
      << "  \"cancelled\": " << (Cancelled ? "true" : "false") << ",\n"
-     << "  \"error\": \"" << escapeJson(Result.Error) << "\",\n"
+     << "  \"error\": \"" << jsonEscape(Result.Error) << "\",\n"
      << "  \"ok\": " << (Ok ? "true" : "false");
   if (!OptionErrors.empty()) {
     OS << ",\n  \"option_errors\": [";
     for (size_t I = 0; I != OptionErrors.size(); ++I)
       OS << (I ? ", " : "") << "{\"kind\": \""
          << optionErrorKindText(OptionErrors[I].Kind) << "\", \"message\": \""
-         << escapeJson(OptionErrors[I].Message) << "\"}";
+         << jsonEscape(OptionErrors[I].Message) << "\"}";
     OS << "]";
   }
   if (Ok) {
@@ -231,7 +167,7 @@ std::string CompileResponse::toJson() const {
   }
   OS << ",\n  \"request_id\": " << RequestId
      << ",\n  \"session_id\": " << SessionId << ",\n  \"target\": \""
-     << escapeJson(Target) << "\"\n}";
+     << jsonEscape(Target) << "\"\n}";
   return OS.str();
 }
 
@@ -301,8 +237,6 @@ struct Session::Impl {
   std::mutex QueueMu;
   std::vector<std::unique_ptr<PendingRequest>> Queue; ///< Heap (PendingLess).
   TaskGroup Outstanding;
-  std::optional<metrics::MetricsSink> Sink; ///< SessionConfig::MetricsJsonl.
-  std::optional<metrics::MetricsServer> Server; ///< SessionConfig::MetricsPort.
 
   /// Pops and runs the highest-priority pending request. Each submit
   /// enqueues exactly one call, so pops never find the heap empty.
@@ -320,9 +254,9 @@ struct Session::Impl {
     if (Span.active()) {
       std::ostringstream Args;
       Args << "\"session_id\": " << Id << ", \"request_id\": " << P->ReqId
-           << ", \"target\": \"" << P->Target << "\"";
+           << ", \"target\": \"" << jsonEscape(P->Target) << "\"";
       if (!P->Label.empty())
-        Args << ", \"label\": \"" << P->Label << "\"";
+        Args << ", \"label\": \"" << jsonEscape(P->Label) << "\"";
       Span.args(Args.str());
     }
 
@@ -440,32 +374,6 @@ Session::Session(SessionConfig Cfg) : I(std::make_unique<Impl>()) {
   if (I->ConfigError.empty() && !I->Reg->lookup(I->Cfg.DefaultTarget))
     I->ConfigError = "SessionConfig: DefaultTarget \"" + I->Cfg.DefaultTarget +
                      "\" is not registered (known: " + I->knownNames() + ")";
-  if (!I->Cfg.MetricsJsonl.empty()) {
-    // The telemetry hook implies the caller wants numbers: enable the
-    // global registry for the life of the process (cheap, and flipping
-    // it back off when one session dies would blind the others).
-    metrics::setEnabled(true);
-    metrics::MetricsSink::Config SC;
-    SC.Path = I->Cfg.MetricsJsonl;
-    SC.IntervalMs = I->Cfg.MetricsFlushMs;
-    I->Sink.emplace(std::move(SC));
-    if (!I->Sink->ok() && I->ConfigError.empty())
-      I->ConfigError = I->Sink->error();
-  }
-  if (I->Cfg.MetricsPort >= 0 && I->Cfg.MetricsPort <= 65535) {
-    // Same policy as the JSONL hook: asking to be scraped means the
-    // caller wants numbers.
-    metrics::setEnabled(true);
-    metrics::MetricsServer::Config MC;
-    MC.Port = static_cast<uint16_t>(I->Cfg.MetricsPort);
-    I->Server.emplace(MC);
-    if (!I->Server->ok() && I->ConfigError.empty())
-      I->ConfigError = I->Server->error();
-  } else if (I->Cfg.MetricsPort > 65535 && I->ConfigError.empty()) {
-    I->ConfigError = "SessionConfig: MetricsPort " +
-                     std::to_string(I->Cfg.MetricsPort) +
-                     " is not a TCP port (0..65535, or -1 to disable)";
-  }
   if (I->Cfg.Service) {
     I->Service = I->Cfg.Service;
   } else {
@@ -484,10 +392,6 @@ uint64_t Session::id() const { return I->Id; }
 TargetRegistry &Session::targets() const { return *I->Reg; }
 
 std::string Session::configError() const { return I->ConfigError; }
-
-uint16_t Session::metricsPort() const {
-  return I->Server && I->Server->ok() ? I->Server->port() : 0;
-}
 
 void Session::waitAll() { I->Pool->wait(I->Outstanding); }
 
@@ -636,7 +540,7 @@ CompileResponse Session::Impl::compileNowInner(Program &P,
   if (Span.active()) {
     std::ostringstream Args;
     Args << "\"session_id\": " << Id << ", \"request_id\": " << ReqId
-         << ", \"target\": \"" << Name << "\"";
+         << ", \"target\": \"" << jsonEscape(Name) << "\"";
     Span.args(Args.str());
   }
 

@@ -6,6 +6,8 @@
 
 #include "swp/API/TargetRegistry.h"
 
+#include "swp/Support/Json.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cctype>
@@ -138,9 +140,8 @@ private:
       case 'b': Out += '\b'; break;
       case 'f': Out += '\f'; break;
       case 'u': {
-        // Machine descriptions are ASCII; accept \uXXXX for completeness
-        // and map it to the low byte (enough to round-trip our emitter,
-        // which never produces it).
+        // Map \uXXXX to its low byte: enough to round-trip the control
+        // bytes jsonEscape writes as \u00xx.
         unsigned Code = 0;
         for (int I = 0; I < 4 && At < S.size(); ++I, ++At) {
           char H = S[At];
@@ -300,16 +301,6 @@ const std::map<std::string, Opcode> &opcodeByName() {
   return Map;
 }
 
-std::string escapeJson(const std::string &S) {
-  std::string R;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      R += '\\';
-    R += C;
-  }
-  return R;
-}
-
 std::string formatDouble(double D) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.17g", D);
@@ -378,7 +369,7 @@ std::string TargetRegistry::emitJson(const MachineDescription &MD) {
   // resources. The resources array's order is semantic (its index is the
   // resource id opcode reservations reference by name on reload).
   OS << "{\n  \"clock_mhz\": " << formatDouble(MD.clockMHz())
-     << ",\n  \"name\": \"" << escapeJson(MD.name()) << "\",\n"
+     << ",\n  \"name\": \"" << jsonEscape(MD.name()) << "\",\n"
      << "  \"opcodes\": {\n";
   bool FirstOp = true;
   // opcodeByName is sorted by mnemonic, making the rendering canonical.
@@ -398,7 +389,7 @@ std::string TargetRegistry::emitJson(const MachineDescription &MD) {
     for (size_t I = 0; I != Info.Uses.size(); ++I) {
       const ResourceUse &U = Info.Uses[I];
       OS << (I ? ", " : "") << "{\"cycle\": " << U.Cycle
-         << ", \"resource\": \"" << escapeJson(MD.resource(U.ResId).Name)
+         << ", \"resource\": \"" << jsonEscape(MD.resource(U.ResId).Name)
          << "\", \"units\": " << U.Units << "}";
     }
     OS << "]}";
@@ -409,7 +400,7 @@ std::string TargetRegistry::emitJson(const MachineDescription &MD) {
      << "  \"resources\": [";
   for (unsigned I = 0; I != MD.numResources(); ++I) {
     const Resource &R = MD.resource(I);
-    OS << (I ? ", " : "") << "{\"name\": \"" << escapeJson(R.Name)
+    OS << (I ? ", " : "") << "{\"name\": \"" << jsonEscape(R.Name)
        << "\", \"units\": " << R.Units << "}";
   }
   OS << "]\n}\n";

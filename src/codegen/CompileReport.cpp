@@ -6,6 +6,8 @@
 
 #include "swp/Codegen/CompileReport.h"
 
+#include "swp/Support/Json.h"
+
 #include <ostream>
 #include <sstream>
 
@@ -158,18 +160,6 @@ void CompileReport::print(std::ostream &OS, bool WithStats) const {
   }
 }
 
-/// JSON string escaping for the messages embedded in VerifyErrors.
-static void appendEscaped(std::ostream &OS, const std::string &S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      OS << '\\' << C;
-    else if (C == '\n')
-      OS << "\\n";
-    else
-      OS << C;
-  }
-}
-
 /// Failure-cause breakdown of \p S, keys sorted.
 static void appendFailCauses(std::ostream &OS, const SchedulerStats &S) {
   OS << "{\"budget_cancelled\": " << S.FailBudget
@@ -191,9 +181,7 @@ std::string CompileReport::toJson() const {
     OS << "    {\"cause\": \"" << fallbackCauseText(L.Cause) << "\""
        << ", \"decision\": \"" << decisionText(L.Decision) << "\"";
     if (!L.ExplainText.empty()) {
-      OS << ", \"explain\": \"";
-      appendEscaped(OS, L.ExplainText);
-      OS << "\"";
+      OS << ", \"explain\": \"" << jsonEscape(L.ExplainText) << "\"";
     }
     OS << ", \"fail_causes\": ";
     appendFailCauses(OS, L.Stats);
@@ -220,9 +208,8 @@ std::string CompileReport::toJson() const {
      << "  \"paranoid_verified\": " << (ParanoidVerified ? "true" : "false")
      << ",\n  \"recovered_errors\": [";
   for (size_t I = 0; I != RecoveredErrors.size(); ++I) {
-    OS << "\"";
-    appendEscaped(OS, RecoveredErrors[I]);
-    OS << "\"" << (I + 1 != RecoveredErrors.size() ? ", " : "");
+    OS << "\"" << jsonEscape(RecoveredErrors[I]) << "\""
+       << (I + 1 != RecoveredErrors.size() ? ", " : "");
   }
   OS << "],\n"
      << "  \"sched_totals\": {\"component_retries\": "
@@ -244,9 +231,8 @@ std::string CompileReport::toJson() const {
     OS << ",\n  \"utilization\": " << Util.toJson();
   OS << ",\n  \"verify_errors\": [";
   for (size_t I = 0; I != VerifyErrors.size(); ++I) {
-    OS << "\"";
-    appendEscaped(OS, VerifyErrors[I]);
-    OS << "\"" << (I + 1 != VerifyErrors.size() ? ", " : "");
+    OS << "\"" << jsonEscape(VerifyErrors[I]) << "\""
+       << (I + 1 != VerifyErrors.size() ? ", " : "");
   }
   OS << "]\n}\n";
   return OS.str();

@@ -10,8 +10,8 @@
 #include "swp/IR/Printer.h"
 #include "swp/Lang/Lowering.h"
 #include "swp/Metrics/Metrics.h"
-#include "swp/Metrics/MetricsServer.h"
 #include "swp/Sim/Simulator.h"
+#include "swp/Support/Json.h"
 #include "swp/Support/Trace.h"
 
 #include <cstdlib>
@@ -81,9 +81,6 @@ void printUsage(std::ostream &OS) {
         "--metrics-out)\n"
         "  --metrics-out=FILE  write the snapshot to FILE instead of "
         "stdout (implies --metrics)\n"
-        "  --metrics-port=N    serve /metrics, /metrics.json, /healthz on "
-        "127.0.0.1:N for the run's duration (0 picks an ephemeral port, "
-        "printed to stderr)\n"
         "exit codes: 0 ok, 1 usage/IO, 2 frontend rejection, 3 compile "
         "failure, 4 ok-but-degraded\n";
 }
@@ -121,17 +118,6 @@ bool emitMetricsSnapshot(const std::string &Path, std::ostream &Out,
   }
   F << Text;
   return true;
-}
-
-/// Minimal JSON string escaping for file paths.
-std::string jsonEscape(const std::string &S) {
-  std::string R;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      R += '\\';
-    R += C;
-  }
-  return R;
 }
 
 /// The --batch path: every input file goes through one Session
@@ -277,7 +263,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
   bool Batch = false;
   bool Metrics = false;
   std::string MetricsOut;
-  int MetricsPort = -1;
   std::string TracePath;
   std::string Target;
   std::vector<std::string> TargetFiles;
@@ -351,10 +336,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
         return W2CExitUsage;
       }
       Metrics = true;
-    } else if (Arg.rfind("--metrics-port=", 0) == 0) {
-      if (!parseCount(Arg, 15, "--metrics-port", 65535, N, Err))
-        return W2CExitUsage;
-      MetricsPort = static_cast<int>(N);
     } else if (Arg == "--help") {
       printUsage(Out);
       return W2CExitOk;
@@ -378,33 +359,19 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
            "contradictory with --no-pipeline\n";
     return W2CExitUsage;
   }
-  if (Metrics || MetricsPort >= 0) {
+  if (Metrics) {
     if (!metrics::compiledIn()) {
       Err << "error: --metrics requested but metrics were compiled out "
              "(rebuild with SWP_METRICS_ENABLED=1)\n";
       return W2CExitUsage;
     }
-    if (Metrics && Json && MetricsOut.empty()) {
+    if (Json && MetricsOut.empty()) {
       Err << "error: --json prints a JSON document on stdout; --metrics "
              "needs --metrics-out=FILE to keep it parseable\n";
       return W2CExitUsage;
     }
     metrics::setEnabled(true);
   }
-  // The scrape endpoint outlives the whole run: a scraper (or curl) can
-  // watch counters move while the compile is in flight.
-  std::optional<metrics::MetricsServer> Server;
-  if (MetricsPort >= 0) {
-    metrics::MetricsServer::Config MC;
-    MC.Port = static_cast<uint16_t>(MetricsPort);
-    Server.emplace(MC);
-    if (!Server->ok()) {
-      Err << "error: --metrics-port: " << Server->error() << "\n";
-      return W2CExitUsage;
-    }
-    Err << "metrics: listening on 127.0.0.1:" << Server->port() << "\n";
-  }
-
   // The target namespace for this invocation: the built-in cells plus
   // any --target-file machines. Private to the invocation so repeated
   // in-process runs (tests) can reload the same file without "already

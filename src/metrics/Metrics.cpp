@@ -333,24 +333,6 @@ void Histogram::record(uint64_t) const {}
 // snapshot is plain data).
 //===----------------------------------------------------------------------===//
 
-uint64_t SnapshotHistogram::percentile(double P) const {
-  if (Count == 0)
-    return 0;
-  P = std::min(1.0, std::max(0.0, P));
-  // Rank of the percentile sample, 1-based: ceil(P * Count), floored at 1.
-  uint64_t Rank = static_cast<uint64_t>(P * static_cast<double>(Count));
-  if (static_cast<double>(Rank) < P * static_cast<double>(Count))
-    ++Rank;
-  Rank = std::max<uint64_t>(1, std::min(Rank, Count));
-  uint64_t Cum = 0;
-  for (unsigned B = 0; B != Histogram::NumBuckets; ++B) {
-    Cum += Buckets[B];
-    if (Cum >= Rank)
-      return Histogram::bucketUpperBound(B);
-  }
-  return Histogram::bucketUpperBound(Histogram::NumBuckets - 1);
-}
-
 namespace {
 
 template <typename T>
@@ -365,14 +347,6 @@ const T *findSeries(const std::vector<T> &V, const std::string &Name,
 /// "name" or "name{labels}".
 std::string seriesKey(const std::string &Name, const std::string &Labels) {
   return Labels.empty() ? Name : Name + "{" + Labels + "}";
-}
-
-void appendJsonEscaped(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
 }
 
 std::string formatDouble(double V) {
@@ -504,57 +478,5 @@ std::string MetricsSnapshot::toPrometheusText() const {
     std::snprintf(Buf, sizeof(Buf), " %" PRIu64 "\n", H.Count);
     Out += seriesKey(H.Name + "_count", H.Labels) + Buf;
   }
-  return Out;
-}
-
-std::string MetricsSnapshot::toJson() const {
-  // Series vectors are already sorted by (name, labels), and seriesKey
-  // preserves that order lexicographically for swp_-style names (no '{'
-  // in metric names), so emission order == sorted key order.
-  std::string Out = "{\"counters\":{";
-  bool First = true;
-  char Buf[96];
-  for (const SnapshotCounter &C : Counters) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\"";
-    appendJsonEscaped(Out, seriesKey(C.Name, C.Labels));
-    std::snprintf(Buf, sizeof(Buf), "\":%" PRIu64, C.Value);
-    Out += Buf;
-  }
-  Out += "},\"gauges\":{";
-  First = true;
-  for (const SnapshotGauge &G : Gauges) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\"";
-    appendJsonEscaped(Out, seriesKey(G.Name, G.Labels));
-    Out += "\":" + formatDouble(G.Value);
-  }
-  Out += "},\"histograms\":{";
-  First = true;
-  for (const SnapshotHistogram &H : Histograms) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\"";
-    appendJsonEscaped(Out, seriesKey(H.Name, H.Labels));
-    Out += "\":{\"buckets\":[";
-    for (unsigned B = 0; B != Histogram::NumBuckets; ++B) {
-      if (B)
-        Out += ",";
-      std::snprintf(Buf, sizeof(Buf), "%" PRIu64, H.Buckets[B]);
-      Out += Buf;
-    }
-    std::snprintf(Buf, sizeof(Buf),
-                  "],\"count\":%" PRIu64 ",\"p50\":%" PRIu64 ",\"p90\":%" PRIu64
-                  ",\"p99\":%" PRIu64 ",\"sum\":%" PRIu64 "}",
-                  H.Count, H.percentile(0.50), H.percentile(0.90),
-                  H.percentile(0.99), H.Sum);
-    Out += Buf;
-  }
-  Out += "}}";
   return Out;
 }

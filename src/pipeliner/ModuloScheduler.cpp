@@ -701,7 +701,7 @@ ModuloScheduleResult swp::moduloSchedule(const DepGraph &G,
       metrics::Counter Searches, IntervalsTried;
       metrics::Counter FailPrecedence, FailResource, FailSlotAbort,
           FailStageLimit, FailBudget;
-      metrics::Histogram IIGap, SearchUs;
+      metrics::Histogram SearchUs;
     };
     static const SchedMetrics SM = [] {
       auto &R = metrics::MetricsRegistry::global();
@@ -717,16 +717,13 @@ ModuloScheduleResult swp::moduloSchedule(const DepGraph &G,
       M.FailSlotAbort = R.counter(N, "cause=\"slot_abort\"", H);
       M.FailStageLimit = R.counter(N, "cause=\"stage_limit\"", H);
       M.FailBudget = R.counter(N, "cause=\"budget\"", H);
-      M.IIGap = R.histogram(
-          "swp_sched_ii_gap", "",
-          "Achieved II minus max(ResMII, RecMII) on successful searches");
       M.SearchUs = R.histogram("swp_sched_search_us", "",
                                "Wall microseconds per II search");
       return M;
     }();
-    // Per-target split of the II-gap distribution (kept alongside the
-    // unlabeled aggregate), so a mixed-target fleet can see which machine
-    // description burns the II budget. Target names come from
+    // The II-gap distribution is split by target, so a mixed-target
+    // process shows which machine description burns the II budget; the
+    // aggregate is the sum over labels. Target names come from
     // MachineDescription::name(), which the TargetRegistry stamps.
     static metrics::HistogramFamily IIGapByTarget(
         metrics::MetricsRegistry::global(), "swp_sched_ii_gap",
@@ -739,10 +736,8 @@ ModuloScheduleResult swp::moduloSchedule(const DepGraph &G,
     SM.FailSlotAbort.inc(Result.Stats.FailSlotAbort);
     SM.FailStageLimit.inc(Result.Stats.FailStageLimit);
     SM.FailBudget.inc(Result.Stats.FailBudget);
-    if (Result.Success) {
-      SM.IIGap.record(Result.II - Result.MII);
+    if (Result.Success)
       IIGapByTarget.with(MD.name()).record(Result.II - Result.MII);
-    }
     SM.SearchUs.recordSeconds(Result.Stats.TotalSeconds);
   }
   if (SearchSpan.active()) {

@@ -6,6 +6,8 @@
 
 #include "swp/Sched/Utilization.h"
 
+#include "swp/Support/Json.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
@@ -71,7 +73,7 @@ std::string UtilizationReport::toJson() const {
   for (size_t I = 0; I != Resources.size(); ++I) {
     const ResourceUtilization &R = Resources[I];
     OS << (I ? ", " : "") << "{\"busy_unit_cycles\": " << R.BusyUnitCycles
-       << ", \"name\": \"" << R.Name << "\""
+       << ", \"name\": \"" << jsonEscape(R.Name) << "\""
        << ", \"occupancy\": " << R.occupancy(ExecCycles)
        << ", \"units\": " << R.Units << "}";
   }

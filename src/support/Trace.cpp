@@ -13,6 +13,8 @@
 
 #include "swp/Support/Trace.h"
 
+#include "swp/Support/Json.h"
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -97,26 +99,11 @@ void append(Event E) {
   ++B.Dropped;
 }
 
-void appendEscaped(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(C)));
-      Out += Buf;
-      continue;
-    }
-    Out += C;
-  }
-}
-
 /// Renders one event as a trace-event object (no trailing comma).
 void renderEvent(std::string &Out, uint32_t Tid, const Event &E) {
   char Buf[128];
   Out += "{\"name\": \"";
-  appendEscaped(Out, E.Name);
+  Out += jsonEscape(E.Name);
   std::snprintf(Buf, sizeof(Buf), "\", \"ph\": \"%c\", \"pid\": 1, \"tid\": %u",
                 E.Ph, Tid);
   Out += Buf;
@@ -188,7 +175,7 @@ bool trace::stop(std::string *Error) {
       Meta += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
               "\"tid\": " +
               std::to_string(B->Tid) + ", \"args\": {\"name\": \"";
-      appendEscaped(Meta, B->Name);
+      Meta += jsonEscape(B->Name);
       Meta += "\"}}";
     }
     size_t N = B->Ring.size();
@@ -247,9 +234,9 @@ void trace::counter(const char *Name, const char *Key, double Value) {
   Registry &R = registry();
   if (!R.Active.load(std::memory_order_relaxed))
     return;
-  char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "\"%s\": %g", Key, Value);
-  append({Name, 'C', nowNs(R), 0, Buf});
+  char Num[32];
+  std::snprintf(Num, sizeof(Num), "%g", Value);
+  append({Name, 'C', nowNs(R), 0, "\"" + jsonEscape(Key) + "\": " + Num});
 }
 
 uint64_t trace::droppedEvents() {

@@ -22,6 +22,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "JsonChecker.h"
+
 #include "swp/API/Session.h"
 #include "swp/Codegen/VLIWProgram.h"
 #include "swp/Metrics/Metrics.h"
@@ -32,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -64,6 +67,14 @@ std::string serialRef(const WorkloadSpec &Spec, const MachineDescription &MD,
 
 std::string tempPath(const std::string &File) {
   return ::testing::TempDir() + File;
+}
+
+/// Bytes below 0x20 other than the layout's newlines: JSON allows none
+/// inside a string, and the emitters put none between tokens.
+long rawControlBytes(const std::string &Json) {
+  return std::count_if(Json.begin(), Json.end(), [](char C) {
+    return static_cast<unsigned char>(C) < 0x20 && C != '\n';
+  });
 }
 
 } // namespace
@@ -112,6 +123,44 @@ TEST(TargetRegistry, JsonRoundTripIsExact) {
     EXPECT_EQ(serialRef(Spec, MD), serialRef(Spec, *Re))
         << N << ": reloaded machine schedules differently";
   }
+
+  // Names are data from a file: a tab, a quote and a backslash in the
+  // machine name and in a resource name must come back out escaped, and
+  // must keep the compile report valid JSON.
+  std::string Json = TargetRegistry::emitJson(MachineDescription::warpCell());
+  auto ReplaceAll = [&Json](const std::string &From, const std::string &To) {
+    for (size_t At = Json.find(From); At != std::string::npos;
+         At = Json.find(From, At + To.size()))
+      Json.replace(At, From.size(), To);
+  };
+  ReplaceAll("\"name\": \"warp-cell\"",
+             "\"name\": \"cell\\t\\\"q\\\" \\\\x\"");
+  ReplaceAll(": \"fadd\", \"units\"",
+             ": \"fa\\t\\\"d\\\\d\", \"units\"");
+  std::string Err;
+  std::optional<MachineDescription> Odd = TargetRegistry::parseJson(Json, Err);
+  ASSERT_TRUE(Odd.has_value()) << Err;
+  EXPECT_EQ(Odd->name(), "cell\t\"q\" \\x");
+  ASSERT_EQ(TargetRegistry::validateMachine(*Odd), "");
+
+  std::string Emitted = TargetRegistry::emitJson(*Odd);
+  EXPECT_EQ(rawControlBytes(Emitted), 0) << Emitted;
+  EXPECT_TRUE(JsonChecker(Emitted).valid()) << Emitted;
+  std::optional<MachineDescription> Again =
+      TargetRegistry::parseJson(Emitted, Err);
+  ASSERT_TRUE(Again.has_value()) << Err;
+  EXPECT_EQ(Again->name(), Odd->name());
+  EXPECT_TRUE(fingerprintMachine(*Again) == fingerprintMachine(*Odd));
+  EXPECT_EQ(TargetRegistry::emitJson(*Again), Emitted);
+
+  BuiltWorkload W = livermoreKernels()[0].Make();
+  CompileResult CR = compileProgram(*W.Prog, *Again, CompilerOptions{});
+  ASSERT_TRUE(CR.Ok) << CR.Error;
+  std::string Report = CR.Report.toJson();
+  EXPECT_TRUE(JsonChecker(Report).valid()) << Report;
+  EXPECT_NE(Report.find("\"name\": \"fa\\t\\\"d\\\\d\""),
+            std::string::npos)
+      << "the kernel occupancy names the renamed resource";
 }
 
 TEST(TargetRegistry, RejectsInvalidMachinesAndCollisions) {
@@ -358,38 +407,48 @@ TEST(Session, ThrowingFactoryResolvesWithError) {
   auto Recorded = [] {
     metrics::MetricsSnapshot S = metrics::MetricsRegistry::global().snapshot();
     const metrics::SnapshotCounter *Errors =
-        S.counter("swp_session_outcomes_total", "outcome=\"error\"");
+        S.counter("swp_session_outcomes_total",
+                  "outcome=\"error\",target=\"warp-cell\"");
     const metrics::SnapshotHistogram *Latency =
-        S.histogram("swp_session_latency_us", "priority=\"normal\"");
+        S.histogram("swp_session_latency_us",
+                    "priority=\"normal\",target=\"warp-cell\"");
     return std::make_pair(Errors ? Errors->Value : 0,
                           Latency ? Latency->Count : 0);
   };
-  auto Before = Recorded();
 
-  Session Sess;
-  CompileRequest Req;
-  Req.Make = []() -> std::unique_ptr<Program> {
-    throw std::runtime_error("source unavailable");
-  };
-  CompileHandle H = Sess.submit(std::move(Req));
-  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!H.ready() && std::chrono::steady_clock::now() < Deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_TRUE(H.ready()) << "the request never resolved";
-  const CompileResponse *Resp = nullptr;
-  ASSERT_NO_THROW(Resp = &H.get()) << "the handle must carry an error "
-                                      "response, not an exception";
-  EXPECT_FALSE(Resp->Ok);
-  EXPECT_FALSE(Resp->Cancelled);
-  EXPECT_NE(Resp->Result.Error.find("program factory failed: "
-                                    "source unavailable"),
-            std::string::npos)
-      << Resp->Result.Error;
+  // The second message carries control bytes, which the response
+  // envelope must escape like any other caller string.
+  for (const std::string Message :
+       {"source unavailable", "source\r\x01" "unavailable"}) {
+    auto Before = Recorded();
+    Session Sess;
+    CompileRequest Req;
+    Req.Make = [Message]() -> std::unique_ptr<Program> {
+      throw std::runtime_error(Message);
+    };
+    CompileHandle H = Sess.submit(std::move(Req));
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!H.ready() && std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(H.ready()) << "the request never resolved";
+    const CompileResponse *Resp = nullptr;
+    ASSERT_NO_THROW(Resp = &H.get()) << "the handle must carry an error "
+                                        "response, not an exception";
+    EXPECT_FALSE(Resp->Ok);
+    EXPECT_FALSE(Resp->Cancelled);
+    EXPECT_NE(Resp->Result.Error.find("program factory failed: " + Message),
+              std::string::npos)
+        << Resp->Result.Error;
+    std::string Json = Resp->toJson();
+    EXPECT_EQ(rawControlBytes(Json), 0) << Json;
+    EXPECT_TRUE(JsonChecker(Json).valid()) << Json;
 
-  // Exactly one outcome and one latency sample, like any failed request.
-  auto After = Recorded();
-  EXPECT_EQ(After.first - Before.first, 1u);
-  EXPECT_EQ(After.second - Before.second, 1u);
+    // Exactly one outcome and one latency sample, like any failed request.
+    auto After = Recorded();
+    EXPECT_EQ(After.first - Before.first, 1u);
+    EXPECT_EQ(After.second - Before.second, 1u);
+  }
 }
 
 TEST(Session, UnknownTargetFailsFast) {

@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "JsonChecker.h"
+
 #include "swp/Codegen/Compiler.h"
 #include "swp/Driver/W2CDriver.h"
 #include "swp/Interp/Interpreter.h"
@@ -623,7 +625,22 @@ TEST(W2CExitCodes, UsageAndIOFailuresAreOne) {
   EXPECT_EQ(runDriver({"/nonexistent/dir/input.w2"}).Exit, W2CExitUsage);
   EXPECT_EQ(runDriver({"--max-nodes=banana"}).Exit, W2CExitUsage);
   EXPECT_EQ(runDriver({"--min-rung=3"}).Exit, W2CExitUsage);
+  // A flag the API dropped (4.0) is unknown like any other.
+  EXPECT_EQ(
+      runDriver({"--metrics-port=0", writeSource("ok", GoodSource)}).Exit,
+      W2CExitUsage);
   EXPECT_EQ(runDriver({"--help"}).Exit, W2CExitOk);
+}
+
+// File paths are caller strings: one with a tab must still leave the
+// --batch --json document parseable.
+TEST(W2CBatch, JsonEscapesFilePaths) {
+  std::string Path = writeSource("tab\tname", GoodSource);
+  DriverRun R = runDriver({"--batch", "--json", Path});
+  EXPECT_EQ(R.Exit, W2CExitOk) << R.Err;
+  EXPECT_TRUE(JsonChecker(R.Out).valid()) << R.Out;
+  EXPECT_NE(R.Out.find("w2c-exit-tab\\tname.w2"), std::string::npos)
+      << R.Out;
 }
 
 TEST(W2CExitCodes, FrontendRejectionIsTwoWithAllDiagnostics) {
@@ -698,26 +715,21 @@ TEST(W2CMetrics, SnapshotIsSelfConsistent) {
   auto HistDelta = [&](const char *Name) {
     return After.histogramCountTotal(Name) - Before.histogramCountTotal(Name);
   };
-  // Latency series exist in two layers since the per-target split: the
-  // unlabeled aggregates and their target="..." refinements. Each
-  // request records exactly one sample in each layer.
-  auto HistLayerCount = [](const metrics::MetricsSnapshot &S,
-                           const char *Name, bool TargetLabeled) {
+  // Latency series are split by target: each request records exactly one
+  // sample, in a target="..." series.
+  auto TargetLabeledCount = [](const metrics::MetricsSnapshot &S,
+                               const char *Name) {
     uint64_t Sum = 0;
     for (const metrics::SnapshotHistogram &H : S.Histograms)
-      if (H.Name == Name &&
-          (H.Labels.find("target=") != std::string::npos) == TargetLabeled)
+      if (H.Name == Name && H.Labels.find("target=") != std::string::npos)
         Sum += H.Count;
     return Sum;
   };
-  auto HistLayerDelta = [&](const char *Name, bool TargetLabeled) {
-    return HistLayerCount(After, Name, TargetLabeled) -
-           HistLayerCount(Before, Name, TargetLabeled);
-  };
   uint64_t Requests = CounterDelta("swp_session_requests_total");
   EXPECT_EQ(Requests, 2u);
-  EXPECT_EQ(HistLayerDelta("swp_session_latency_us", false), Requests);
-  EXPECT_EQ(HistLayerDelta("swp_session_latency_us", true), Requests);
+  EXPECT_EQ(TargetLabeledCount(After, "swp_session_latency_us") -
+                TargetLabeledCount(Before, "swp_session_latency_us"),
+            Requests);
   uint64_t ServiceRequests = CounterDelta("swp_service_requests_total");
   EXPECT_EQ(ServiceRequests, Requests);
   EXPECT_EQ(CounterDelta("swp_service_memo_hits_total") +

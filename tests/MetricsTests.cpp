@@ -5,26 +5,19 @@
 // The telemetry suite (ctest label "metrics"; also run under the tsan
 // preset): registry semantics on private instances — idempotent
 // registration, enable/disable, additive gauges, callback gauges, slot
-// exhaustion — plus the histogram math against a brute-force reference,
-// an N-thread exactness check for the sharded recording path, the
-// MetricsSink JSONL stream, the Session telemetry hook, and golden
-// snapshots locking both exposition formats (update with
+// exhaustion — plus the histogram bucket math, an N-thread exactness
+// check for the sharded recording path, label plumbing, and a golden
+// snapshot locking the Prometheus exposition (update with
 // SWP_UPDATE_GOLDENS=1).
 //
 //===----------------------------------------------------------------------===//
 
-#include "swp/API/Session.h"
-#include "swp/IR/IRBuilder.h"
 #include "swp/Metrics/Metrics.h"
-#include "swp/Metrics/MetricsSink.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
-#include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -129,41 +122,6 @@ TEST(Metrics, BucketMath) {
   }
 }
 
-TEST(Metrics, PercentileMatchesBruteForce) {
-  EnabledRegistry E;
-  Histogram H = E.Reg.histogram("swp_test_us");
-  // Deterministic samples spanning many magnitudes, including zeros and
-  // overflow-bucket values.
-  std::mt19937_64 Rng(12345);
-  std::vector<uint64_t> Samples;
-  for (int I = 0; I != 5000; ++I) {
-    unsigned Mag = static_cast<unsigned>(Rng() % 34); // 0..33 bits
-    uint64_t V = Mag == 0 ? 0 : (Rng() & ((uint64_t{1} << Mag) - 1));
-    Samples.push_back(V);
-    H.record(V);
-  }
-  MetricsSnapshot Snap = E.Reg.snapshot();
-  const SnapshotHistogram *S = Snap.histogram("swp_test_us");
-  ASSERT_NE(S, nullptr);
-  ASSERT_EQ(S->Count, Samples.size());
-
-  std::vector<uint64_t> Sorted = Samples;
-  std::sort(Sorted.begin(), Sorted.end());
-  for (double P : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    // Reference: the true rank-ceil(P*N) sample, quantized to its bucket's
-    // upper bound — exactly what the histogram stores about it.
-    size_t Rank = static_cast<size_t>(std::ceil(P * Sorted.size()));
-    Rank = std::min(std::max<size_t>(Rank, 1), Sorted.size());
-    uint64_t Expect = Histogram::bucketUpperBound(
-        Histogram::bucketIndex(Sorted[Rank - 1]));
-    EXPECT_EQ(S->percentile(P), Expect) << "P=" << P;
-  }
-  // Empty histograms report 0 for every percentile.
-  EXPECT_EQ(E.Reg.snapshot().histogram("swp_test_us2"), nullptr);
-  (void)E.Reg.histogram("swp_test_us2");
-  EXPECT_EQ(E.Reg.snapshot().histogram("swp_test_us2")->percentile(0.5), 0u);
-}
-
 // The sharded recording path must lose nothing under contention: N
 // threads hammer one histogram and one counter; the merged totals are
 // exact. This is the test the tsan preset re-runs for data races.
@@ -229,92 +187,6 @@ TEST(Metrics, ResetZeroesValuesKeepsRegistrations) {
   EXPECT_EQ(E.Reg.snapshot().counter("swp_test_total")->Value, 0u);
   C.inc(2); // Handle survives reset.
   EXPECT_EQ(E.Reg.snapshot().counter("swp_test_total")->Value, 2u);
-}
-
-TEST(Metrics, SinkWritesJsonl) {
-  EnabledRegistry E;
-  Counter C = E.Reg.counter("swp_test_total");
-  std::string Path = ::testing::TempDir() + "metrics-sink-test.jsonl";
-  std::remove(Path.c_str());
-  {
-    MetricsSink::Config SC;
-    SC.Path = Path;
-    SC.IntervalMs = 0; // flushNow-only; dtor adds the final line.
-    SC.Registry = &E.Reg;
-    MetricsSink Sink(SC);
-    ASSERT_TRUE(Sink.ok()) << Sink.error();
-    C.inc();
-    Sink.flushNow();
-    C.inc();
-    Sink.flushNow();
-  }
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::vector<std::string> Lines;
-  for (std::string L; std::getline(In, L);)
-    Lines.push_back(L);
-  ASSERT_EQ(Lines.size(), 3u); // 2 explicit flushes + final on stop.
-  for (size_t I = 0; I != Lines.size(); ++I) {
-    EXPECT_NE(Lines[I].find("\"seq\":" + std::to_string(I + 1)),
-              std::string::npos);
-    EXPECT_NE(Lines[I].find("\"uptime_ms\":"), std::string::npos);
-    EXPECT_NE(Lines[I].find("\"metrics\":{"), std::string::npos);
-  }
-  EXPECT_NE(Lines[0].find("\"swp_test_total\":1"), std::string::npos);
-  EXPECT_NE(Lines[2].find("\"swp_test_total\":2"), std::string::npos);
-  std::remove(Path.c_str());
-}
-
-TEST(Metrics, SinkReportsUnwritablePath) {
-  MetricsSink::Config SC;
-  SC.Path = "/nonexistent-dir-swp/metrics.jsonl";
-  SC.IntervalMs = 0;
-  MetricsSink Sink(SC);
-  EXPECT_FALSE(Sink.ok());
-  EXPECT_FALSE(Sink.error().empty());
-}
-
-/// A two-statement single-loop program for the Session hook test.
-std::unique_ptr<Program> tinyProgram() {
-  auto P = std::make_unique<Program>();
-  IRBuilder B(*P);
-  unsigned A = P->createArray("a", RegClass::Float, 64);
-  VReg K = P->createVReg(RegClass::Float, "k", /*LiveIn=*/true);
-  ForStmt *L = B.beginForImm(0, 63);
-  B.fstore(A, B.ix(L), B.fadd(B.fload(A, B.ix(L)), K));
-  B.endFor();
-  return P;
-}
-
-TEST(Metrics, SessionMetricsJsonlHook) {
-  const bool WasEnabled = metrics::enabled();
-  std::string Path = ::testing::TempDir() + "session-metrics-test.jsonl";
-  std::remove(Path.c_str());
-  {
-    SessionConfig SC;
-    SC.MetricsJsonl = Path;
-    SC.MetricsFlushMs = 0; // Final snapshot only.
-    Session Sess(SC);
-    ASSERT_EQ(Sess.configError(), "");
-    EXPECT_TRUE(metrics::enabled()); // The hook switches recording on.
-    auto P = tinyProgram();
-    CompileResponse R = Sess.compileNow(*P);
-    EXPECT_TRUE(R.Ok) << R.Result.Error;
-  }
-  metrics::setEnabled(WasEnabled);
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::string Line;
-  ASSERT_TRUE(std::getline(In, Line));
-  EXPECT_NE(Line.find("swp_session_requests_total"), std::string::npos);
-  std::remove(Path.c_str());
-
-  // An unopenable sink path surfaces as the session's config error.
-  SessionConfig Bad;
-  Bad.MetricsJsonl = "/nonexistent-dir-swp/metrics.jsonl";
-  Session BadSess(Bad);
-  EXPECT_NE(BadSess.configError(), "");
-  metrics::setEnabled(WasEnabled);
 }
 
 //===----------------------------------------------------------------------===//
@@ -442,14 +314,6 @@ TEST(Metrics, PrometheusGolden) {
   MetricsRegistry Reg;
   populateGoldenRegistry(Reg);
   checkGolden("metrics-snapshot.prom", Reg.snapshot().toPrometheusText());
-}
-
-TEST(Metrics, JsonGolden) {
-  MetricsRegistry Reg;
-  populateGoldenRegistry(Reg);
-  std::string Json = Reg.snapshot().toJson();
-  EXPECT_EQ(Json.find('\n'), std::string::npos); // Single line.
-  checkGolden("metrics-snapshot.json", Json);
 }
 
 } // namespace

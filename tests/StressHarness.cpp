@@ -11,22 +11,14 @@
 // one-line repro that re-runs exactly that iteration.
 //
 //   swp_stress [--iterations=N] [--seed=S] [--quiet]
-//              [--metrics-jsonl=FILE] [--metrics-port=N]
 //
-// --metrics-jsonl enables the global metrics registry, registers a
-// process-RSS gauge, and appends one JSONL snapshot per iteration —
-// the soak's resource trajectory, summarizable with
-// tools/metrics-report.sh.
-//
-// --metrics-port additionally serves the registry on 127.0.0.1:N
-// (0 = ephemeral; the bound port is printed) and turns the soak into
-// its own live scraper: every iteration GETs /metrics and asserts the
-// scrape stays consistent — the RSS gauge samples positive, the
-// scheduler search counter never goes backwards, and the endpoint's
-// request counter matches the number of scrapes this harness made.
+// The harness enables the global metrics registry and reads its
+// snapshot() after every iteration: the scheduler search counter must
+// never go backwards, and a run of 20 or more iterations must leave the
+// II-gap histogram split by at least two target labels.
 //
 // Iterations alternate the target machine by seed parity (warp-cell /
-// warp-cell-x2), so the per-target metric split sees a mixed fleet;
+// warp-cell-x2), so the per-target metric split sees both machines;
 // the repro line reproduces the target along with everything else.
 //
 // ctest wires two instances: `stress_smoke` (a few dozen iterations, part
@@ -40,22 +32,13 @@
 
 #include "swp/API/Session.h"
 #include "swp/Metrics/Metrics.h"
-#include "swp/Metrics/MetricsServer.h"
-#include "swp/Metrics/MetricsSink.h"
 #include "swp/Support/FaultInject.h"
 #include "swp/Verify/Differential.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <random>
 #include <string>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 using namespace swp;
 
@@ -161,61 +144,12 @@ std::string runIteration(uint64_t IterSeed, const MachineDescription &MD,
   return "";
 }
 
-/// One blocking HTTP GET against the harness's own metrics endpoint.
-/// Returns the response body ("" on any failure).
-std::string scrapeMetrics(uint16_t Port, const char *Path) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return "";
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Port);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    ::close(Fd);
-    return "";
-  }
-  std::string Req = std::string("GET ") + Path + " HTTP/1.0\r\n\r\n";
-  if (::send(Fd, Req.data(), Req.size(), 0) !=
-      static_cast<ssize_t>(Req.size())) {
-    ::close(Fd);
-    return "";
-  }
-  std::string Resp;
-  char Buf[4096];
-  ssize_t N;
-  while ((N = ::recv(Fd, Buf, sizeof(Buf), 0)) > 0)
-    Resp.append(Buf, static_cast<size_t>(N));
-  ::close(Fd);
-  size_t HeaderEnd = Resp.find("\r\n\r\n");
-  if (HeaderEnd == std::string::npos || Resp.rfind("HTTP/1.0 200", 0) != 0)
-    return "";
-  return Resp.substr(HeaderEnd + 4);
-}
-
-/// Value of the exposition line that starts with exactly \p Series
-/// followed by a space; -1 when absent.
-double promValue(const std::string &Body, const std::string &Series) {
-  size_t Pos = 0;
-  std::string Prefix = Series + " ";
-  while (Pos < Body.size()) {
-    size_t Eol = Body.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Body.size();
-    if (Body.compare(Pos, Prefix.size(), Prefix) == 0)
-      return std::atof(Body.c_str() + Pos + Prefix.size());
-    Pos = Eol + 1;
-  }
-  return -1.0;
-}
-
-/// How many distinct `target="..."` labels a series name carries.
-unsigned countTargetLabels(const std::string &Body, const std::string &Name) {
+/// How many `target` labels the series of histogram \p Name carry.
+unsigned targetLabels(const metrics::MetricsSnapshot &S, const char *Name) {
   unsigned Count = 0;
-  std::string Needle = Name + "{target=\"";
-  for (size_t Pos = Body.find(Needle); Pos != std::string::npos;
-       Pos = Body.find(Needle, Pos + 1))
-    ++Count;
+  for (const metrics::SnapshotHistogram &H : S.Histograms)
+    if (H.Name == Name && H.Labels.find("target=") != std::string::npos)
+      ++Count;
   return Count;
 }
 
@@ -225,8 +159,6 @@ int main(int argc, char **argv) {
   unsigned Iterations = 100;
   uint64_t Seed = 9000;
   bool Quiet = false;
-  std::string MetricsJsonl;
-  int MetricsPort = -1;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg.rfind("--iterations=", 0) == 0) {
@@ -236,69 +168,24 @@ int main(int argc, char **argv) {
       Seed = std::strtoull(Arg.c_str() + 7, nullptr, 10);
     } else if (Arg == "--quiet") {
       Quiet = true;
-    } else if (Arg.rfind("--metrics-jsonl=", 0) == 0 &&
-               Arg.size() > 16) {
-      MetricsJsonl = Arg.substr(16);
-    } else if (Arg.rfind("--metrics-port=", 0) == 0 &&
-               Arg.size() > 15) {
-      unsigned long P = std::strtoul(Arg.c_str() + 15, nullptr, 10);
-      if (P > 65535) {
-        std::fprintf(stderr, "--metrics-port needs a port in [0, 65535]\n");
-        return 1;
-      }
-      MetricsPort = static_cast<int>(P);
     } else {
-      std::fprintf(stderr,
-                   "usage: swp_stress [--iterations=N] [--seed=S] "
-                   "[--quiet] [--metrics-jsonl=FILE] [--metrics-port=N]\n");
+      std::fprintf(stderr, "usage: swp_stress [--iterations=N] [--seed=S] "
+                           "[--quiet]\n");
       return 1;
     }
   }
 
-  // Telemetry: one snapshot line per iteration, plus a live RSS gauge so
-  // the JSONL doubles as the soak's memory trajectory.
-  std::optional<metrics::MetricsSink> Sink;
-  std::optional<metrics::MetricsServer> Server;
-  if (!MetricsJsonl.empty() || MetricsPort >= 0) {
-    metrics::setEnabled(true);
-    metrics::MetricsRegistry::global().registerGauge(
-        "swp_process_rss_mib", "", "Resident set size of this process",
-        [] { return rssMiB(); });
-  }
-  if (!MetricsJsonl.empty()) {
-    metrics::MetricsSink::Config MC;
-    MC.Path = MetricsJsonl;
-    MC.IntervalMs = 0; // Explicit flushNow() per iteration below.
-    Sink.emplace(MC);
-    if (!Sink->ok()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", MetricsJsonl.c_str(),
-                   Sink->error().c_str());
-      return 1;
-    }
-  }
-  if (MetricsPort >= 0) {
-    metrics::MetricsServer::Config MC;
-    MC.Port = static_cast<uint16_t>(MetricsPort);
-    Server.emplace(MC);
-    if (!Server->ok()) {
-      std::fprintf(stderr, "cannot serve metrics: %s\n",
-                   Server->error().c_str());
-      return 1;
-    }
-    std::printf("swp_stress: metrics on 127.0.0.1:%u\n",
-                static_cast<unsigned>(Server->port()));
-    std::fflush(stdout);
-  }
+  metrics::setEnabled(true);
+  const metrics::MetricsRegistry &Registry = metrics::MetricsRegistry::global();
 
   // Seed-parity target mix: half the iterations compile for the Warp
   // cell, half for its doubled-resource variant, so the per-target
-  // metric split always sees a mixed fleet. Parity rides the IterSeed,
+  // metric split always sees both machines. Parity rides the IterSeed,
   // so the printed repro line lands on the same machine.
   MachineDescription MDs[2] = {MachineDescription::warpCell(),
                                MachineDescription::scaledWarpCell(2)};
   unsigned Failures = 0;
-  uint64_t Scrapes = 0;
-  double LastSearches = -1.0;
+  uint64_t LastSearches = 0;
   double BaselineRss = 0.0;
   const unsigned ReportEvery =
       Iterations >= 10 ? Iterations / 10 : Iterations + 1;
@@ -324,61 +211,26 @@ int main(int argc, char **argv) {
       std::printf("swp_stress: %u/%u iterations, %u failures, rss %.1f "
                   "MiB\n",
                   I + 1, Iterations, Failures, rssMiB());
-    if (Sink)
-      Sink->flushNow();
 
-    // Live-scraper consistency: every iteration scrapes its own endpoint
-    // and cross-checks what a fleet collector would see.
-    if (Server) {
-      std::string Body = scrapeMetrics(Server->port(), "/metrics");
-      ++Scrapes;
-      if (Body.empty()) {
-        ++Failures;
-        std::fprintf(stderr, "FAIL iter %u: /metrics scrape failed\n", I);
-      } else {
-        double Rss = promValue(Body, "swp_process_rss_mib");
-        if (Rss <= 0.0) {
-          ++Failures;
-          std::fprintf(stderr,
-                       "FAIL iter %u: RSS gauge missing or nonpositive "
-                       "(%.3f)\n",
-                       I, Rss);
-        }
-        double Searches = promValue(Body, "swp_sched_searches_total");
-        if (Searches < LastSearches) {
-          ++Failures;
-          std::fprintf(stderr,
-                       "FAIL iter %u: search counter went backwards "
-                       "(%.0f -> %.0f)\n",
-                       I, LastSearches, Searches);
-        }
-        LastSearches = Searches;
-        // The scrape observes itself (the server counts the request
-        // before snapshotting), so the endpoint's own request counter
-        // must equal the scrapes this harness has made.
-        double Reqs = promValue(
-            Body, "swp_metrics_http_requests_total{path=\"metrics\"}");
-        if (Reqs != static_cast<double>(Scrapes) ||
-            Server->requestsServed() != Scrapes) {
-          ++Failures;
-          std::fprintf(stderr,
-                       "FAIL iter %u: request counters inconsistent with "
-                       "live scraper (scrapes %llu, scraped %.0f, served "
-                       "%llu)\n",
-                       I, static_cast<unsigned long long>(Scrapes), Reqs,
-                       static_cast<unsigned long long>(
-                           Server->requestsServed()));
-        }
-      }
+    // The registry is process-wide and monotonic: whatever this
+    // iteration compiled, the search counter cannot have gone backwards.
+    uint64_t Searches =
+        Registry.snapshot().counterTotal("swp_sched_searches_total");
+    if (Searches < LastSearches) {
+      ++Failures;
+      std::fprintf(stderr,
+                   "FAIL iter %u: search counter went backwards (%llu -> "
+                   "%llu)\n",
+                   I, static_cast<unsigned long long>(LastSearches),
+                   static_cast<unsigned long long>(Searches));
     }
+    LastSearches = Searches;
   }
 
-  // A mixed-fleet soak long enough to schedule loops on both machines
-  // must leave the II-gap histogram split by at least two targets.
-  if (Server && Iterations >= 20) {
-    std::string Body = scrapeMetrics(Server->port(), "/metrics");
-    ++Scrapes;
-    unsigned Targets = countTargetLabels(Body, "swp_sched_ii_gap_count");
+  // A run long enough to schedule loops on both machines must leave the
+  // II-gap histogram split by at least two targets.
+  if (Iterations >= 20) {
+    unsigned Targets = targetLabels(Registry.snapshot(), "swp_sched_ii_gap");
     if (Targets < 2) {
       ++Failures;
       std::fprintf(stderr,

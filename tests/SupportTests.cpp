@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "swp/Support/Diagnostics.h"
+#include "swp/Support/Json.h"
 #include "swp/Support/MathUtils.h"
 #include "swp/Support/RNG.h"
 #include "swp/Support/TablePrinter.h"
@@ -134,6 +135,22 @@ TEST(Diagnostics, CollectsAndCounts) {
   EXPECT_EQ(DE.diagnostics().size(), 3u);
   EXPECT_NE(DE.str().find("3:4: error: bad thing"), std::string::npos);
   EXPECT_NE(DE.str().find("warning: watch out"), std::string::npos);
+}
+
+TEST(Json, EscapeIsExact) {
+  // Every byte below 0x20: seven short escapes, the rest \u00xx.
+  std::string Controls;
+  for (int C = 0; C != 0x20; ++C)
+    Controls += static_cast<char>(C);
+  EXPECT_EQ(jsonEscape(Controls),
+            "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f");
+  // Quote and backslash take short escapes; '/' and UTF-8 pass through.
+  EXPECT_EQ(jsonEscape("a\"b\\c/d"), "a\\\"b\\\\c/d");
+  EXPECT_EQ(jsonEscape("caf\xc3\xa9 \xe2\x86\x92"), "caf\xc3\xa9 \xe2\x86\x92");
+  EXPECT_EQ(jsonEscape(""), "");
 }
 
 TEST(TablePrinter, AlignsColumns) {

@@ -7,11 +7,14 @@
 // per thread track, the ring buffer degrades by counting drops rather
 // than corrupting the file, and — the property everything else rests on —
 // an active trace session changes nothing about what the compiler
-// produces. The JSON checks use a small local syntax checker: the repo
-// deliberately has no JSON dependency.
+// produces. The JSON checks use the strict syntax checker in
+// JsonChecker.h.
 //
 //===----------------------------------------------------------------------===//
 
+#include "JsonChecker.h"
+
+#include "swp/API/Session.h"
 #include "swp/Codegen/Compiler.h"
 #include "swp/DDG/DDGBuilder.h"
 #include "swp/IR/Expansion.h"
@@ -36,173 +39,6 @@
 using namespace swp;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// A minimal JSON syntax checker (RFC 8259 grammar, no semantics).
-//===----------------------------------------------------------------------===//
-
-class JsonChecker {
-public:
-  explicit JsonChecker(const std::string &Text) : S(Text) {}
-
-  bool valid() {
-    skipWs();
-    if (!value())
-      return false;
-    skipWs();
-    return I == S.size();
-  }
-
-private:
-  const std::string &S;
-  size_t I = 0;
-
-  void skipWs() {
-    while (I < S.size() &&
-           (S[I] == ' ' || S[I] == '\t' || S[I] == '\n' || S[I] == '\r'))
-      ++I;
-  }
-
-  bool lit(const char *L) {
-    size_t N = std::strlen(L);
-    if (S.compare(I, N, L) != 0)
-      return false;
-    I += N;
-    return true;
-  }
-
-  bool value() {
-    if (I >= S.size())
-      return false;
-    switch (S[I]) {
-    case '{':
-      return object();
-    case '[':
-      return array();
-    case '"':
-      return stringLit();
-    case 't':
-      return lit("true");
-    case 'f':
-      return lit("false");
-    case 'n':
-      return lit("null");
-    default:
-      return number();
-    }
-  }
-
-  bool object() {
-    ++I; // '{'
-    skipWs();
-    if (I < S.size() && S[I] == '}') {
-      ++I;
-      return true;
-    }
-    for (;;) {
-      skipWs();
-      if (!stringLit())
-        return false;
-      skipWs();
-      if (I >= S.size() || S[I] != ':')
-        return false;
-      ++I;
-      skipWs();
-      if (!value())
-        return false;
-      skipWs();
-      if (I < S.size() && S[I] == ',') {
-        ++I;
-        continue;
-      }
-      break;
-    }
-    if (I >= S.size() || S[I] != '}')
-      return false;
-    ++I;
-    return true;
-  }
-
-  bool array() {
-    ++I; // '['
-    skipWs();
-    if (I < S.size() && S[I] == ']') {
-      ++I;
-      return true;
-    }
-    for (;;) {
-      skipWs();
-      if (!value())
-        return false;
-      skipWs();
-      if (I < S.size() && S[I] == ',') {
-        ++I;
-        continue;
-      }
-      break;
-    }
-    if (I >= S.size() || S[I] != ']')
-      return false;
-    ++I;
-    return true;
-  }
-
-  bool stringLit() {
-    if (I >= S.size() || S[I] != '"')
-      return false;
-    ++I;
-    while (I < S.size() && S[I] != '"') {
-      if (static_cast<unsigned char>(S[I]) < 0x20)
-        return false; // Control characters must be escaped.
-      if (S[I] == '\\') {
-        ++I;
-        if (I >= S.size())
-          return false;
-        if (S[I] == 'u') {
-          for (int K = 0; K != 4; ++K) {
-            ++I;
-            if (I >= S.size() || !std::isxdigit(static_cast<unsigned char>(S[I])))
-              return false;
-          }
-        } else if (!std::strchr("\"\\/bfnrt", S[I])) {
-          return false;
-        }
-      }
-      ++I;
-    }
-    if (I >= S.size())
-      return false;
-    ++I;
-    return true;
-  }
-
-  bool number() {
-    size_t Start = I;
-    if (I < S.size() && S[I] == '-')
-      ++I;
-    if (I >= S.size() || !std::isdigit(static_cast<unsigned char>(S[I])))
-      return false;
-    while (I < S.size() && std::isdigit(static_cast<unsigned char>(S[I])))
-      ++I;
-    if (I < S.size() && S[I] == '.') {
-      ++I;
-      if (I >= S.size() || !std::isdigit(static_cast<unsigned char>(S[I])))
-        return false;
-      while (I < S.size() && std::isdigit(static_cast<unsigned char>(S[I])))
-        ++I;
-    }
-    if (I < S.size() && (S[I] == 'e' || S[I] == 'E')) {
-      ++I;
-      if (I < S.size() && (S[I] == '+' || S[I] == '-'))
-        ++I;
-      if (I >= S.size() || !std::isdigit(static_cast<unsigned char>(S[I])))
-        return false;
-      while (I < S.size() && std::isdigit(static_cast<unsigned char>(S[I])))
-        ++I;
-    }
-    return I > Start;
-  }
-};
 
 //===----------------------------------------------------------------------===//
 // Line-level event extraction. The writer emits one event object per
@@ -579,13 +415,15 @@ TEST(Trace, SpanArgsInstantsAndCounters) {
   }
   trace::instant("mark", "\"v\": 1");
   trace::counter("occupancy", "fmul", 0.75);
+  trace::counter("occupancy", "q\"key", 1); // Keys are escaped too.
   std::string Error;
   ASSERT_TRUE(trace::stop(&Error)) << Error;
 
   std::string Text = readFile(Path);
   ASSERT_TRUE(JsonChecker(Text).valid());
 
-  bool SawSpanArgs = false, SawInstant = false, SawCounter = false;
+  bool SawSpanArgs = false, SawInstant = false, SawCounter = false,
+       SawEscapedKey = false;
   for (const TraceEvent &E : parseEvents(Text)) {
     if (E.Name == "unit-span" && E.Raw.find("\"ii\": 5") != std::string::npos)
       SawSpanArgs = true;
@@ -595,10 +433,14 @@ TEST(Trace, SpanArgsInstantsAndCounters) {
     if (E.Name == "occupancy" && E.Ph == 'C' &&
         E.Raw.find("fmul") != std::string::npos)
       SawCounter = true;
+    if (E.Name == "occupancy" && E.Ph == 'C' &&
+        E.Raw.find("\"q\\\"key\": 1") != std::string::npos)
+      SawEscapedKey = true;
   }
   EXPECT_TRUE(SawSpanArgs);
   EXPECT_TRUE(SawInstant);
   EXPECT_TRUE(SawCounter);
+  EXPECT_TRUE(SawEscapedKey);
 }
 
 //===----------------------------------------------------------------------===//
@@ -651,4 +493,46 @@ TEST(Trace, ActiveSessionIsBitIdenticalToDisabled) {
   EXPECT_EQ(PlainReport, TracedReport)
       << "tracing changed the compile report";
   EXPECT_NE(PlainReport.find("\"explain\""), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Session spans carry caller strings into their args.
+//===----------------------------------------------------------------------===//
+
+TEST(Trace, SessionSpanArgsEscapeLabelAndTarget) {
+  // A request label and a machine name are caller strings: a quote, a
+  // newline or a tab in either must leave the trace file valid JSON.
+  MachineDescription MD = MachineDescription::warpCell();
+  MD.setName("cell \"q\"\tx");
+  auto Make = [] {
+    auto P = std::make_unique<Program>();
+    unsigned A, C;
+    VReg K;
+    buildSaxpyLike(*P, A, C, K);
+    return P;
+  };
+  std::string Path = tracePath("swp-trace-session-args.json");
+  ASSERT_TRUE(trace::start(Path));
+  {
+    Session Sess;
+    CompileRequest Req;
+    Req.Make = Make;
+    Req.Machine = &MD;
+    Req.Label = "kernel \"1\"\n";
+    EXPECT_TRUE(Sess.submit(std::move(Req)).get().Ok);
+    EXPECT_TRUE(Sess.compileNow(*Make(), MD).Ok);
+  }
+  std::string Error;
+  ASSERT_TRUE(trace::stop(&Error)) << Error;
+
+  std::string Text = readFile(Path);
+  EXPECT_TRUE(JsonChecker(Text).valid()) << "trace file is not valid JSON";
+  EXPECT_NE(Text.find("\"label\": \"kernel \\\"1\\\"\\n\""),
+            std::string::npos);
+  size_t Targets = 0;
+  for (const TraceEvent &E : parseEvents(Text))
+    if (E.Raw.find("\"target\": \"cell \\\"q\\\"\\tx\"") !=
+        std::string::npos)
+      ++Targets;
+  EXPECT_EQ(Targets, 2u) << "session.request and session.compileNow spans";
 }
