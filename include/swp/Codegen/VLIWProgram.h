@@ -28,6 +28,7 @@
 
 #include "swp/IR/Operation.h"
 #include "swp/Machine/MachineDescription.h"
+#include "swp/Support/SmallVec.h"
 
 #include <map>
 #include <string>
@@ -56,7 +57,7 @@ struct PredPhys {
 struct MachOp {
   Opcode Opc = Opcode::Nop;
   PhysReg Def;
-  std::vector<PhysReg> Uses; ///< Value operands.
+  SmallVec<PhysReg, 3> Uses; ///< Value operands.
   /// Memory reference (loads/stores): affine subscript over loop
   /// variables; any dynamic addend reads AddendReg.
   unsigned ArrayId = ~0u;
@@ -66,7 +67,7 @@ struct MachOp {
   int64_t IImm = 0;
   int Queue = 0;
   /// Conjunction of predicates; the op takes effect only when all hold.
-  std::vector<PredPhys> Preds;
+  SmallVec<PredPhys, 1> Preds;
 
   bool hasMem() const { return ArrayId != ~0u; }
 };

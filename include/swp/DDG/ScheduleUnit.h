@@ -22,6 +22,7 @@
 
 #include "swp/IR/Operation.h"
 #include "swp/Machine/MachineDescription.h"
+#include "swp/Support/SmallVec.h"
 
 #include <vector>
 
@@ -39,7 +40,7 @@ struct PredTerm {
 struct UnitOp {
   Operation Op;
   int Offset = 0;
-  std::vector<PredTerm> Preds;
+  SmallVec<PredTerm, 1> Preds;
 };
 
 /// A schedulable node: operations at fixed relative offsets plus an

@@ -20,11 +20,10 @@
 
 #include "swp/IR/Value.h"
 #include "swp/Support/Diagnostics.h"
+#include "swp/Support/SmallVec.h"
 
 #include <cassert>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 namespace swp {
 
@@ -35,7 +34,7 @@ struct AffineExpr {
     unsigned LoopId = 0; ///< ForStmt::LoopId of the enclosing loop.
     int64_t Coef = 0;
   };
-  std::vector<Term> Terms;
+  SmallVec<Term, 2> Terms; ///< One per loop with a nonzero coefficient.
   int64_t Const = 0;
   /// Optional dynamic addend (data-dependent subscripts, e.g. histogram
   /// bins). When valid, dependence analysis is conservative for this ref.
@@ -96,7 +95,7 @@ struct MemRef {
 struct Operation {
   Opcode Opc = Opcode::Nop;
   VReg Def;                   ///< Result register (invalid if none).
-  std::vector<VReg> Operands; ///< Register inputs.
+  SmallVec<VReg, 3> Operands; ///< Register inputs.
   MemRef Mem;                 ///< Memory reference for loads/stores.
   double FImm = 0.0;          ///< FConst payload.
   int64_t IImm = 0;           ///< IConst payload.

@@ -280,7 +280,10 @@ std::string labelBody(std::vector<std::pair<std::string, std::string>> KVs);
 /// registers the series on first use and returns the cached handle
 /// afterwards; registration itself is idempotent per (name, labels), the
 /// cache just keeps hot record sites to one map probe instead of a label
-/// format plus a registry lock. Thread-safe; handles are value-semantic.
+/// format plus a registry lock. While the registry is disabled, with()
+/// keeps the disabled-record contract: one relaxed load, then an inert
+/// handle, with no lock, no label hashing and no series registered.
+/// Thread-safe; handles are value-semantic.
 template <class HandleT> class LabeledFamily {
 public:
   LabeledFamily(MetricsRegistry &R, std::string Name, std::string Help,
@@ -290,6 +293,8 @@ public:
         DynKey(std::move(DynKey)), Fixed(std::move(Fixed)) {}
 
   HandleT with(const std::string &Value) {
+    if (!R->enabled())
+      return HandleT();
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = ByValue.find(Value);
     if (It != ByValue.end())

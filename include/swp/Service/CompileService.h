@@ -119,6 +119,12 @@ public:
   static Fingerprint jobKey(const Program &P, const MachineDescription &MD,
                             const CompilerOptions &Opts);
 
+  /// The bytes the memo charges \p R against Config::MemoMaxBytes (exposed
+  /// for tests): the result and its instructions, every op with any list
+  /// spilled past its inline capacity, the live-in map and the loop
+  /// reports.
+  static size_t resultBytes(const CompileResult &R);
+
 private:
   struct Flight {
     std::mutex Mu;

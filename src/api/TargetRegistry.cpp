@@ -140,20 +140,24 @@ private:
       case 'b': Out += '\b'; break;
       case 'f': Out += '\f'; break;
       case 'u': {
-        // Map \uXXXX to its low byte: enough to round-trip the control
-        // bytes jsonEscape writes as \u00xx.
+        // \uXXXX is a UTF-16 code unit; a surrogate pair spells one code
+        // point above U+FFFF. Either way the string gets its UTF-8 bytes.
+        size_t EscAt = At - 2;
         unsigned Code = 0;
-        for (int I = 0; I < 4 && At < S.size(); ++I, ++At) {
-          char H = S[At];
-          if (!std::isxdigit(static_cast<unsigned char>(H))) {
-            Err = where() + "bad \\u escape";
+        if (!hex4(Code, Err))
+          return false;
+        if (Code >= 0xD800 && Code <= 0xDFFF) {
+          unsigned Low = 0;
+          if (Code >= 0xDC00 || S.compare(At, 2, "\\u") != 0)
+            return loneSurrogate(EscAt, Err);
+          At += 2;
+          if (!hex4(Low, Err))
             return false;
-          }
-          Code = Code * 16 + (std::isdigit(static_cast<unsigned char>(H))
-                                  ? H - '0'
-                                  : std::tolower(H) - 'a' + 10);
+          if (Low < 0xDC00 || Low > 0xDFFF)
+            return loneSurrogate(EscAt, Err);
+          Code = 0x10000 + ((Code - 0xD800) << 10) + (Low - 0xDC00);
         }
-        Out += static_cast<char>(Code & 0xFF);
+        appendUtf8(Out, Code);
         break;
       }
       default:
@@ -167,6 +171,46 @@ private:
     }
     ++At; // closing quote
     return true;
+  }
+
+  /// Reads the four hex digits of a \u escape.
+  bool hex4(unsigned &Code, std::string &Err) {
+    Code = 0;
+    for (int I = 0; I < 4; ++I, ++At) {
+      char H = At < S.size() ? S[At] : '\0';
+      if (!std::isxdigit(static_cast<unsigned char>(H))) {
+        Err = where() + "bad \\u escape";
+        return false;
+      }
+      Code = Code * 16 + (std::isdigit(static_cast<unsigned char>(H))
+                              ? H - '0'
+                              : std::tolower(H) - 'a' + 10);
+    }
+    return true;
+  }
+
+  bool loneSurrogate(size_t EscAt, std::string &Err) {
+    Err = where() + "lone surrogate in \\u escape at offset " +
+          std::to_string(EscAt);
+    return false;
+  }
+
+  static void appendUtf8(std::string &Out, unsigned Code) {
+    if (Code < 0x80) {
+      Out += static_cast<char>(Code);
+    } else if (Code < 0x800) {
+      Out += static_cast<char>(0xC0 | (Code >> 6));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    } else if (Code < 0x10000) {
+      Out += static_cast<char>(0xE0 | (Code >> 12));
+      Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    } else {
+      Out += static_cast<char>(0xF0 | (Code >> 18));
+      Out += static_cast<char>(0x80 | ((Code >> 12) & 0x3F));
+      Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    }
   }
 
   bool number(JValue &Out, std::string &Err) {

@@ -121,7 +121,7 @@ private:
   /// Lowers one operation instance for iteration offset \p K of loop
   /// \p CurLoopId, guarded by \p Preds.
   MachOp lowerOp(const Operation &Op, int64_t K, unsigned CurLoopId,
-                 const std::vector<PredTerm> &Preds);
+                 const SmallVec<PredTerm, 1> &Preds);
 
   /// Appends \p Op at the cursor as its own instruction and advances past
   /// its latency so the next serial op can consume the result.
@@ -404,14 +404,13 @@ void CompilerImpl::classifyAndAllocateGlobals() {
 
 MachOp CompilerImpl::lowerOp(const Operation &Op, int64_t K,
                              unsigned CurLoopId,
-                             const std::vector<PredTerm> &Preds) {
+                             const SmallVec<PredTerm, 1> &Preds) {
   assert(K >= 0 && "iteration offsets are nonnegative by construction");
   MachOp M;
   M.Opc = Op.Opc;
   if (Op.Def.isValid())
     M.Def = RA.regFor(Op.Def.Id, static_cast<unsigned>(K));
   unsigned NumVals = numValueOperands(Op.Opc);
-  M.Uses.reserve(NumVals);
   for (unsigned I = 0; I != NumVals; ++I)
     M.Uses.push_back(RA.regFor(Op.Operands[I].Id, static_cast<unsigned>(K)));
   if (Op.Mem.isValid()) {
@@ -427,7 +426,6 @@ MachOp CompilerImpl::lowerOp(const Operation &Op, int64_t K,
   M.FImm = Op.FImm;
   M.IImm = Op.IImm;
   M.Queue = Op.Queue;
-  M.Preds.reserve(Preds.size());
   for (const PredTerm &PT : Preds)
     M.Preds.push_back(
         {RA.regFor(PT.Cond.Id, static_cast<unsigned>(K)), PT.Negated});

@@ -101,12 +101,24 @@ bool CompileService::memoLookup(const Fingerprint &Key, CompileResult &Out) {
   return true;
 }
 
-/// Rough footprint of a finished result for the memo byte budget.
-static size_t resultBytes(const CompileResult &R) {
-  return sizeof(CompileResult) + R.Error.size() +
-         R.Code.Insts.size() * sizeof(VLIWInst) +
-         R.Code.LiveInRegs.size() * 4 * sizeof(unsigned) +
-         R.Report.Loops.size() * sizeof(LoopReport);
+/// Heap bytes behind \p V once it has spilled past its inline capacity.
+template <typename T, unsigned N>
+static size_t spilledBytes(const SmallVec<T, N> &V) {
+  return V.onHeap() ? V.capacity() * sizeof(T) : 0;
+}
+
+size_t CompileService::resultBytes(const CompileResult &R) {
+  size_t Bytes = sizeof(CompileResult) + R.Error.size() +
+                 R.Code.Insts.size() * sizeof(VLIWInst) +
+                 R.Code.LiveInRegs.size() * 4 * sizeof(unsigned) +
+                 R.Report.Loops.size() * sizeof(LoopReport);
+  for (const VLIWInst &I : R.Code.Insts) {
+    Bytes += I.Ops.size() * sizeof(MachOp) + I.Agu.size() * sizeof(AguOp);
+    for (const MachOp &M : I.Ops)
+      Bytes += spilledBytes(M.Uses) + spilledBytes(M.Index.Terms) +
+               spilledBytes(M.Preds);
+  }
+  return Bytes;
 }
 
 void CompileService::memoInsert(const Fingerprint &Key,
@@ -119,6 +131,7 @@ void CompileService::memoInsert(const Fingerprint &Key,
     EntryCap = 1;
   if (ByteCap == 0)
     ByteCap = 1;
+  size_t Bytes = resultBytes(R);
   std::lock_guard<std::mutex> Lock(S.Mu);
   auto It = S.Map.find(Key);
   if (It != S.Map.end()) {
@@ -128,7 +141,7 @@ void CompileService::memoInsert(const Fingerprint &Key,
   }
   S.Lru.emplace_front(Key, R);
   S.Map[Key] = S.Lru.begin();
-  S.Bytes += resultBytes(R);
+  S.Bytes += Bytes;
   while (S.Lru.size() > 1 &&
          (S.Lru.size() > EntryCap || S.Bytes > ByteCap)) {
     auto &Back = S.Lru.back();

@@ -3,16 +3,22 @@
 // Part of warp-swp.
 //
 // The compile path keeps its sets, maps and per-node lists in id-indexed
-// flat storage sized once per pass, so a compile allocates per pass and
-// per emitted instruction, not per register, edge or operation. This
+// flat storage sized once per pass, and an operation keeps its operand,
+// subscript and predicate lists inline, so a compile allocates per pass
+// and per emitted instruction, not per register, edge or operation. This
 // suite holds it to that: it replaces the global operator new with one
 // that counts calls (which is why it is a binary of its own) and bounds
 // the mean number of calls per compileProgram over the Livermore kernels
-// and over randomLoopSpec(1..256), default options, no Session.
+// and over randomLoopSpec(1..256), default options, no Session; the mean
+// per copy of a CompileResult over the service hot set (the 19 Livermore
+// kernels plus syntheticPopulation(45, 1988), which the memo copies on
+// every hit); and the calls to copy one operation (none within the
+// inline sizes).
 //
 //===----------------------------------------------------------------------===//
 
 #include "swp/Codegen/Compiler.h"
+#include "swp/DDG/ScheduleUnit.h"
 #include "swp/Verify/RandomLoopGen.h"
 #include "swp/Workloads/Workloads.h"
 
@@ -73,6 +79,30 @@ double meanNewCallsPerCompile(const std::vector<WorkloadSpec> &Specs) {
   return static_cast<double>(Calls) / static_cast<double>(Specs.size());
 }
 
+/// Mean operator new calls per copy of a CompileResult over \p Specs.
+double meanNewCallsPerResultCopy(const std::vector<WorkloadSpec> &Specs) {
+  MachineDescription MD = MachineDescription::warpCell();
+  uint64_t Calls = 0;
+  for (const WorkloadSpec &S : Specs) {
+    BuiltWorkload W = S.Make();
+    CompileResult CR = compileProgram(*W.Prog, MD, CompilerOptions());
+    EXPECT_TRUE(CR.Ok) << S.Name << ": " << CR.Error;
+    uint64_t Before = NewCalls.load(std::memory_order_relaxed);
+    CompileResult Copy = CR;
+    Calls += NewCalls.load(std::memory_order_relaxed) - Before;
+    EXPECT_EQ(Copy.Code.Insts.size(), CR.Code.Insts.size());
+  }
+  return static_cast<double>(Calls) / static_cast<double>(Specs.size());
+}
+
+/// The service benchmark's hot set.
+std::vector<WorkloadSpec> hotSet() {
+  std::vector<WorkloadSpec> Specs = livermoreKernels();
+  for (WorkloadSpec &S : syntheticPopulation(45, 1988))
+    Specs.push_back(std::move(S));
+  return Specs;
+}
+
 std::vector<WorkloadSpec> randomCorpus() {
   std::vector<WorkloadSpec> Specs;
   for (uint64_t Seed = 1; Seed <= 256; ++Seed)
@@ -92,18 +122,63 @@ protected:
 
 } // namespace
 
-// Each bound is the measured mean x 1.15, rounded up: 485.5 -> 559 for
-// Livermore, 581.0 -> 669 for randomLoopSpec(1..256). Before the compile
-// path moved to id-indexed storage the means were 2,240.9 and 2,008.4.
+// Each bound is the measured mean x 1.15, rounded up: 389.1 -> 448 for
+// Livermore, 450.2 -> 518 for randomLoopSpec(1..256). The means were
+// 2,240.9 and 2,008.4 before the compile path moved to id-indexed
+// storage, and 485.5 and 581.0 before the operation lists went inline.
 TEST_F(AllocBudget, LivermoreKernels) {
   double Mean = meanNewCallsPerCompile(livermoreKernels());
   RecordProperty("mean_new_calls", std::to_string(Mean));
-  EXPECT_LE(Mean, 559.0) << "operator new calls per compile";
+  EXPECT_LE(Mean, 448.0) << "operator new calls per compile";
 }
 
 TEST_F(AllocBudget, RandomLoops) {
   std::vector<WorkloadSpec> Specs = randomCorpus();
   double Mean = meanNewCallsPerCompile(Specs);
   RecordProperty("mean_new_calls", std::to_string(Mean));
-  EXPECT_LE(Mean, 669.0) << "operator new calls per compile";
+  EXPECT_LE(Mean, 518.0) << "operator new calls per compile";
+}
+
+// A copy allocates per instruction, not per operation: the measured mean
+// over the hot set is 112.7 (290.3 with the operation lists in
+// std::vectors), so the bound is 112.7 x 1.15 -> 130.
+TEST_F(AllocBudget, ResultCopy) {
+  double Mean = meanNewCallsPerResultCopy(hotSet());
+  RecordProperty("mean_new_calls", std::to_string(Mean));
+  EXPECT_LE(Mean, 130.0) << "operator new calls per result copy";
+}
+
+// Within their inline sizes an operation's lists live inside it, so
+// copying an IR operation, a schedule unit's op or a machine op
+// allocates nothing; a list past its inline size costs one block.
+TEST_F(AllocBudget, OperationCopyWithinInlineSizes) {
+  Operation Op;
+  Op.Opc = Opcode::FStore;
+  Op.Operands = {VReg(1), VReg(2), VReg(3)};
+  Op.Mem.ArrayId = 0;
+  Op.Mem.Index.Terms = {{0, 64}, {1, 8}};
+  UnitOp UO;
+  UO.Op = Op;
+  UO.Preds = {{VReg(4), true}};
+  MachOp M;
+  M.Opc = Opcode::FStore;
+  M.Uses = {{RegClass::Float, 1}, {RegClass::Float, 2}, {RegClass::Int, 3}};
+  M.ArrayId = 0;
+  M.Index = Op.Mem.Index;
+  M.Preds = {{{RegClass::Int, 4}, false}};
+
+  uint64_t Before = NewCalls.load(std::memory_order_relaxed);
+  Operation OpCopy = Op;
+  UnitOp UOCopy = UO;
+  MachOp MCopy = M;
+  EXPECT_EQ(NewCalls.load(std::memory_order_relaxed) - Before, 0u);
+  EXPECT_EQ(OpCopy.Operands, Op.Operands);
+  EXPECT_EQ(UOCopy.Preds.size(), 1u);
+  EXPECT_EQ(MCopy.Uses, M.Uses);
+
+  M.Index.Terms.push_back({2, 1});
+  Before = NewCalls.load(std::memory_order_relaxed);
+  MachOp Spilled = M;
+  EXPECT_EQ(NewCalls.load(std::memory_order_relaxed) - Before, 1u);
+  EXPECT_EQ(Spilled.Index.Terms.size(), 3u);
 }

@@ -163,6 +163,46 @@ TEST(TargetRegistry, JsonRoundTripIsExact) {
       << "the kernel occupancy names the renamed resource";
 }
 
+// A machine file's \uXXXX escapes decode to UTF-8, surrogate pairs
+// included, and a UTF-8 name survives emitJson -> parseJson byte for
+// byte. A surrogate without its partner is a parse error that names the
+// escape's offset.
+TEST(TargetRegistry, UnicodeEscapesDecodeAsUtf8) {
+  const std::string Json =
+      TargetRegistry::emitJson(MachineDescription::warpCell());
+  const std::string Quoted = "\"warp-cell\"";
+  const size_t At = Json.find(Quoted);
+  ASSERT_NE(At, std::string::npos);
+  auto Named = [&](const std::string &Literal) {
+    std::string J = Json;
+    J.replace(At, Quoted.size(), Literal);
+    return J;
+  };
+
+  std::string Err;
+  std::optional<MachineDescription> MD = TargetRegistry::parseJson(
+      Named("\"caf\\u00e9 \\u20AC \\ud83d\\ude00\""), Err);
+  ASSERT_TRUE(MD.has_value()) << Err;
+  EXPECT_EQ(MD->name(), "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80");
+
+  std::string Emitted = TargetRegistry::emitJson(*MD);
+  std::optional<MachineDescription> Again =
+      TargetRegistry::parseJson(Emitted, Err);
+  ASSERT_TRUE(Again.has_value()) << Err;
+  EXPECT_EQ(Again->name(), MD->name());
+  EXPECT_EQ(TargetRegistry::emitJson(*Again), Emitted);
+
+  // Each literal opens with `"x`, so its escape starts at At + 2.
+  const std::string Offset = "offset " + std::to_string(At + 2);
+  for (const char *Lone : {"\"x\\ud83d\"", "\"x\\ude00y\"",
+                           "\"x\\ud83d\\u0041\"", "\"x\\ud83dz\""}) {
+    EXPECT_FALSE(TargetRegistry::parseJson(Named(Lone), Err).has_value())
+        << Lone;
+    EXPECT_NE(Err.find("lone surrogate"), std::string::npos) << Err;
+    EXPECT_NE(Err.find(Offset), std::string::npos) << Err;
+  }
+}
+
 TEST(TargetRegistry, RejectsInvalidMachinesAndCollisions) {
   // A default-constructed machine has no resources and no legal opcodes.
   MachineDescription Empty;

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace swp;
 
 namespace {
@@ -103,6 +105,65 @@ TEST(Differential, ScalarTransformBugsReachTheOracle) {
     return W;
   };
   DiffOutcome O = runDifferential(Spec, MachineDescription::warpCell());
+  EXPECT_TRUE(O.Ok) << O.Error;
+}
+
+// An operation keeps its common list sizes inline and spills past them.
+// Here the subscript i*64 + j*8 + k has three terms against inline room
+// for two, and the stores under two nested conditionals carry two
+// predicate terms against room for one. The spilled lists must reach the
+// emitted code intact: ParanoidVerify passes and the simulator matches
+// the interpreter.
+TEST(Differential, InlineListsSpillPastTheirCapacity) {
+  WorkloadSpec Spec;
+  Spec.Name = "inline-list-spill";
+  Spec.Make = [] {
+    BuiltWorkload W;
+    W.Prog = std::make_unique<Program>();
+    Program &P = *W.Prog;
+    IRBuilder B(P);
+    unsigned A = P.createArray("a", RegClass::Float, 256);
+    unsigned C = P.createArray("c", RegClass::Float, 256);
+    VReg Zero = B.fconst(0.0);
+    VReg Half = B.fconst(0.5);
+    ForStmt *I = B.beginForImm(0, 3);
+    ForStmt *J = B.beginForImm(0, 7);
+    ForStmt *K = B.beginForImm(0, 7);
+    AffineExpr Sub = B.ix(I, 64) + B.ix(J, 8) + B.ix(K);
+    VReg X = B.fload(A, Sub);
+    B.beginIf(B.binop(Opcode::FCmpLT, Zero, X));
+    B.beginIf(B.binop(Opcode::FCmpLT, Half, X));
+    B.fstore(C, Sub, B.fmul(X, X));
+    B.beginElse();
+    B.fstore(C, Sub, B.fadd(X, X));
+    B.endIf();
+    B.endIf();
+    B.endFor();
+    B.endFor();
+    B.endFor();
+    std::vector<float> In(256);
+    for (size_t N = 0; N < In.size(); ++N)
+      In[N] = static_cast<float>(N % 7) * 0.25f - 0.5f;
+    W.Input.FloatArrays[A] = In;
+    return W;
+  };
+
+  MachineDescription MD = MachineDescription::warpCell();
+  CompilerOptions Opts;
+  Opts.ParanoidVerify = true;
+  BuiltWorkload W = Spec.Make();
+  CompileResult CR = compileProgram(*W.Prog, MD, Opts);
+  ASSERT_TRUE(CR.Ok) << CR.Error;
+  size_t MaxTerms = 0, MaxPreds = 0;
+  for (const VLIWInst &Inst : CR.Code.Insts)
+    for (const MachOp &M : Inst.Ops) {
+      MaxTerms = std::max(MaxTerms, M.Index.Terms.size());
+      MaxPreds = std::max(MaxPreds, M.Preds.size());
+    }
+  EXPECT_EQ(MaxTerms, 3u) << "the subscript spills its terms";
+  EXPECT_EQ(MaxPreds, 2u) << "the nested stores spill their predicates";
+
+  DiffOutcome O = runDifferential(Spec, MD);
   EXPECT_TRUE(O.Ok) << O.Error;
 }
 

@@ -254,6 +254,44 @@ TEST(Metrics, LabeledFamilyIsIdempotentPerNameAndLabels) {
       2u);
 }
 
+// with() on a disabled registry is one relaxed load: it hands back an
+// inert handle, so nothing is recorded and no series is registered, even
+// from several threads at once. Enabling the registry restores both, and
+// disabling it again drops records made through the family.
+TEST(Metrics, LabeledFamilyWhileDisabledRegistersNothing) {
+  MetricsRegistry Reg; // Disabled by default.
+  CounterFamily F(Reg, "swp_test_quiet_total", "", "target");
+  HistogramFamily HF(Reg, "swp_test_quiet_us", "", "target");
+  const std::string Labels = "target=\"warp-cell\"";
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 4; ++T)
+    Threads.emplace_back([&] {
+      for (int I = 0; I < 500; ++I) {
+        F.with("warp-cell").inc();
+        HF.with("warp-cell").record(3);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  MetricsSnapshot S = Reg.snapshot();
+  EXPECT_EQ(S.counter("swp_test_quiet_total", Labels), nullptr);
+  EXPECT_EQ(S.histogram("swp_test_quiet_us", Labels), nullptr);
+
+  Reg.setEnabled(true);
+  F.with("warp-cell").inc(2);
+  HF.with("warp-cell").record(3);
+  S = Reg.snapshot();
+  ASSERT_NE(S.counter("swp_test_quiet_total", Labels), nullptr);
+  EXPECT_EQ(S.counter("swp_test_quiet_total", Labels)->Value, 2u);
+  ASSERT_NE(S.histogram("swp_test_quiet_us", Labels), nullptr);
+  EXPECT_EQ(S.histogram("swp_test_quiet_us", Labels)->Count, 1u);
+
+  Reg.setEnabled(false);
+  F.with("warp-cell").inc(5);
+  EXPECT_EQ(Reg.snapshot().counter("swp_test_quiet_total", Labels)->Value,
+            2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Exposition goldens.
 //===----------------------------------------------------------------------===//

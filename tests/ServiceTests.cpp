@@ -20,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -30,11 +32,12 @@ using namespace swp;
 
 namespace {
 
-/// A pipelinable chain loop; \p SwapDecls reverses the declaration order
-/// of the arrays (ids permute, structure does not), \p Renamed only
-/// changes names.
+/// A pipelinable chain loop over 0..\p Hi; \p SwapDecls reverses the
+/// declaration order of the arrays (ids permute, structure does not),
+/// \p Renamed only changes names.
 std::unique_ptr<Program> chainProgram(bool SwapDecls = false,
-                                      bool Renamed = false) {
+                                      bool Renamed = false,
+                                      int64_t Hi = 1023) {
   auto P = std::make_unique<Program>();
   IRBuilder B(*P);
   unsigned A, C;
@@ -47,7 +50,7 @@ std::unique_ptr<Program> chainProgram(bool SwapDecls = false,
   }
   VReg K = P->createVReg(RegClass::Float, Renamed ? "scale" : "k",
                          /*LiveIn=*/true);
-  ForStmt *L = B.beginForImm(0, 1023);
+  ForStmt *L = B.beginForImm(0, Hi);
   VReg V = B.fload(A, B.ix(L));
   V = B.fmul(V, K);
   V = B.fadd(V, K);
@@ -333,6 +336,47 @@ TEST(CompileService, BudgetedJobsBypassTheMemo) {
   Service.compileOne(J);
   EXPECT_EQ(Service.stats().Compiles, 2u);
   EXPECT_EQ(Service.stats().MemoHits, 0u);
+}
+
+// The byte budget charges a result for every op (and any list spilled
+// past its inline capacity), not only for the instruction headers: a cap
+// with room for two results evicts the least recent one on the third.
+TEST(CompileService, ByteBudgetCountsOpsAndEvicts) {
+  MachineDescription MD = MachineDescription::warpCell();
+  const int64_t His[] = {1023, 2047, 4095};
+  size_t MinBytes = SIZE_MAX, MaxBytes = 0;
+  for (int64_t Hi : His) {
+    CompileResult R = compileProgram(*chainProgram(false, false, Hi), MD);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    size_t OpBytes = 0;
+    for (const VLIWInst &I : R.Code.Insts)
+      OpBytes += sizeof(VLIWInst) + I.Ops.size() * sizeof(MachOp);
+    size_t Bytes = CompileService::resultBytes(R);
+    EXPECT_GT(Bytes, OpBytes);
+    MinBytes = std::min(MinBytes, Bytes);
+    MaxBytes = std::max(MaxBytes, Bytes);
+  }
+  ASSERT_LT(2 * MaxBytes, 3 * MinBytes) << "the three results differ in size";
+
+  CompileService::Config SC;
+  SC.MemoShards = 1;
+  SC.MemoMaxBytes = 2 * MaxBytes;
+  CompileService Service(SC);
+  auto Submit = [&](int64_t Hi) {
+    CompileJob J;
+    J.MD = &MD;
+    J.Make = [Hi] { return chainProgram(false, false, Hi); };
+    ASSERT_TRUE(Service.compileOne(J).Ok);
+  };
+  for (int64_t Hi : His)
+    Submit(Hi);
+  EXPECT_EQ(Service.stats().Compiles, 3u);
+  // The two most recent results stayed; the first was evicted.
+  Submit(His[2]);
+  Submit(His[1]);
+  EXPECT_EQ(Service.stats().MemoHits, 2u);
+  Submit(His[0]);
+  EXPECT_EQ(Service.stats().Compiles, 4u);
 }
 
 TEST(CompileService, StatsJsonKeysSorted) {
