@@ -30,7 +30,11 @@
 #include "swp/Machine/MachineDescription.h"
 #include "swp/Support/SmallVec.h"
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -103,9 +107,120 @@ struct VLIWInst {
   ControlOp Ctrl;
 };
 
+/// The long instructions of a program, shared and immutable. The list is
+/// built once from the emitted sequence and never changes afterwards, so
+/// copies share one reference-counted body: copying a VLIWProgram (into
+/// the service memo, out of it, into a response) copies no instruction.
+///
+/// Pipelined code is mostly idle words: prolog and epilog fill and the
+/// empty rows of recurrence-bound kernels. An instruction equal to a
+/// default VLIWInst (no op, no AGU update, no control) is not stored; it
+/// reads as one shared empty instruction, and isIdle() tells the
+/// simulator so without decoding it. Everything else is stored as
+/// emitted, so expand() equals the emitted sequence field for field.
+///
+/// The read interface is std::vector's const subset. There is no mutable
+/// access: code is not edited once published. A caller that must edit
+/// (a verifier mutant) expands the list, edits the vector and assigns it
+/// back.
+class InstList {
+  static constexpr uint32_t IdleSlot = ~0u;
+
+  struct Body {
+    std::vector<VLIWInst> Stored; ///< The non-idle instructions, in order.
+    std::vector<uint32_t> Slots;  ///< Per instruction: index or IdleSlot.
+    size_t Bytes = 0;             ///< See bytes().
+  };
+
+public:
+  /// The shared empty instruction every idle slot reads as.
+  static inline const VLIWInst Idle{};
+
+  class const_iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = VLIWInst;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const VLIWInst *;
+    using reference = const VLIWInst &;
+
+    const_iterator() = default;
+    reference operator*() const {
+      return *Slot == IdleSlot ? Idle : Stored[*Slot];
+    }
+    pointer operator->() const { return &**this; }
+    const_iterator &operator++() {
+      ++Slot;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator Old = *this;
+      ++Slot;
+      return Old;
+    }
+    bool operator==(const const_iterator &O) const { return Slot == O.Slot; }
+
+  private:
+    friend class InstList;
+    const_iterator(const uint32_t *Slot, const VLIWInst *Stored)
+        : Slot(Slot), Stored(Stored) {}
+    const uint32_t *Slot = nullptr;
+    const VLIWInst *Stored = nullptr;
+  };
+  using value_type = VLIWInst;
+  using size_type = size_t;
+  using const_reference = const VLIWInst &;
+  using iterator = const_iterator;
+
+  InstList() = default;
+  /// Takes the emitted sequence and keeps its non-idle instructions, each
+  /// block at exact size. \p Insts is left empty. Implicit, so
+  /// `Prog.Insts = std::move(Vec)` publishes a vector.
+  InstList(std::vector<VLIWInst> &&Insts);
+
+  /// True for an instruction equal to a default VLIWInst.
+  static bool idle(const VLIWInst &I) {
+    return I.Ops.empty() && I.Agu.empty() &&
+           I.Ctrl.K == ControlOp::Kind::None && I.Ctrl.Target == 0 &&
+           I.Ctrl.Counter == PhysReg{};
+  }
+
+  size_t size() const { return B ? B->Slots.size() : 0; }
+  bool empty() const { return size() == 0; }
+  bool isIdle(size_t I) const { return B->Slots[I] == IdleSlot; }
+  const VLIWInst &operator[](size_t I) const {
+    uint32_t Slot = B->Slots[I];
+    return Slot == IdleSlot ? Idle : B->Stored[Slot];
+  }
+  const VLIWInst &front() const { return (*this)[0]; }
+  const VLIWInst &back() const { return (*this)[size() - 1]; }
+  const_iterator begin() const {
+    return B ? const_iterator(B->Slots.data(), B->Stored.data())
+             : const_iterator();
+  }
+  const_iterator end() const {
+    return B ? const_iterator(B->Slots.data() + B->Slots.size(),
+                              B->Stored.data())
+             : const_iterator();
+  }
+
+  /// The whole sequence, idle instructions included, as emitted.
+  std::vector<VLIWInst> expand() const {
+    return std::vector<VLIWInst>(begin(), end());
+  }
+
+  /// Heap bytes behind the list: the stored instructions, their op and
+  /// AGU storage, operand lists spilled past their inline size, and the
+  /// slot table. Counted once, when the list is built.
+  size_t bytes() const { return B ? B->Bytes : 0; }
+
+private:
+  std::shared_ptr<const Body> B;
+};
+
 /// A complete cell program plus the metadata the simulator needs.
 struct VLIWProgram {
-  std::vector<VLIWInst> Insts;
+  InstList Insts;
   /// Where live-in scalar values must be deposited before execution,
   /// keyed by IR vreg id.
   std::map<unsigned, PhysReg> LiveInRegs;

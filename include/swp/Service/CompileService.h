@@ -17,6 +17,10 @@
 ///  - single-flight dedup of in-flight work: concurrent requests for the
 ///    same fingerprint wait on the one running compile and copy its
 ///    result instead of racing.
+/// A copied result shares its instruction list (InstList) with the
+/// compile that produced it, so the memo, its hits and the followers of
+/// one flight hold one copy of the code; each keeps its own report,
+/// error string and live-in map.
 ///
 /// Determinism contract: compileProgram is a pure function of (program,
 /// machine, options), so memoized, coalesced, and batched results are
@@ -120,9 +124,9 @@ public:
                             const CompilerOptions &Opts);
 
   /// The bytes the memo charges \p R against Config::MemoMaxBytes (exposed
-  /// for tests): the result and its instructions, every op with any list
-  /// spilled past its inline capacity, the live-in map and the loop
-  /// reports.
+  /// for tests): the result, its instruction list's bytes (counted once
+  /// when the list was built, see InstList::bytes), the live-in map and
+  /// the loop reports. Constant time: it walks no code.
   static size_t resultBytes(const CompileResult &R);
 
 private:

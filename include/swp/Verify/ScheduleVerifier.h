@@ -145,6 +145,11 @@ struct PipelinedLoopLayout {
 VerifyReport verifyPipelinedLoop(const VLIWProgram &Code,
                                  const PipelinedLoopLayout &L,
                                  const DepGraph &G, const Schedule &Sched);
+/// The same check over instructions still being emitted (the compiler's
+/// mid-emission ParanoidVerify pass, before the code is published).
+VerifyReport verifyPipelinedLoop(std::span<const VLIWInst> Code,
+                                 const PipelinedLoopLayout &L,
+                                 const DepGraph &G, const Schedule &Sched);
 
 } // namespace swp
 

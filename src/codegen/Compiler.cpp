@@ -113,9 +113,9 @@ private:
   //===--- Emission primitives ---------------------------------------------===
 
   VLIWInst &instAt(size_t Index) {
-    if (Result.Code.Insts.size() <= Index)
-      Result.Code.Insts.resize(Index + 1);
-    return Result.Code.Insts[Index];
+    if (Code.size() <= Index)
+      Code.resize(Index + 1);
+    return Code[Index];
   }
 
   /// Lowers one operation instance for iteration offset \p K of loop
@@ -134,7 +134,7 @@ private:
   /// Appends a control-only instruction; returns its index for patching.
   size_t emitCtrl(ControlOp::Kind K, PhysReg Counter = {});
   void patchTarget(size_t Inst, size_t Target) {
-    Result.Code.Insts[Inst].Ctrl.Target = static_cast<unsigned>(Target);
+    Code[Inst].Ctrl.Target = static_cast<unsigned>(Target);
   }
 
   void emitAgu(size_t Inst, AguOp A) { instAt(Inst).Agu.push_back(A); }
@@ -222,6 +222,9 @@ private:
   const CompilerOptions &Opts;
   DiagnosticEngine *Diags;
   CompileResult Result;
+  /// The emission buffer, published into Result.Code.Insts once at the
+  /// end of run().
+  std::vector<VLIWInst> Code;
   RegAlloc RA;
   unsigned Pad;
 
@@ -1208,9 +1211,8 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
       // recoverable fallback.
       if (faults::shouldFire(faults::Site::CorruptEmission)) {
         for (size_t I = KernelBase; I <= KernelLast; ++I)
-          if (!Result.Code.Insts[I].Ops.empty()) {
-            Result.Code.Insts[I].Ops.push_back(
-                Result.Code.Insts[I].Ops.front());
+          if (!Code[I].Ops.empty()) {
+            Code[I].Ops.push_back(Code[I].Ops.front());
             break;
           }
       }
@@ -1220,7 +1222,7 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
       L.Stages = M;
       L.Unroll = U;
       L.LoopId = For.LoopId;
-      recordVerifyFindings(verifyPipelinedLoop(Result.Code, L, G, MS.Sched),
+      recordVerifyFindings(verifyPipelinedLoop(Code, L, G, MS.Sched),
                            "emitted pipelined loop", For.LoopId);
     }
   };
@@ -1345,6 +1347,8 @@ CompileResult CompilerImpl::run() {
     if (Diags && Result.Report.VerifyErrors.empty())
       Diags->error(SourceLoc{}, FirstError);
   }
+  // A failed compile returns its partial code too.
+  Result.Code.Insts = InstList(std::move(Code));
   return std::move(Result);
 }
 

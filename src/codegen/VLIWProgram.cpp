@@ -6,9 +6,48 @@
 
 #include "swp/Codegen/VLIWProgram.h"
 
+#include <algorithm>
+#include <cassert>
 #include <sstream>
 
 using namespace swp;
+
+/// Heap bytes behind \p V once it has spilled past its inline capacity.
+template <typename T, unsigned N>
+static size_t spilledBytes(const SmallVec<T, N> &V) {
+  return V.onHeap() ? V.capacity() * sizeof(T) : 0;
+}
+
+InstList::InstList(std::vector<VLIWInst> &&Insts) {
+  if (Insts.empty())
+    return;
+  assert(Insts.size() < IdleSlot && "slot table indexes with 32 bits");
+  auto NewBody = std::make_shared<Body>();
+  NewBody->Slots.reserve(Insts.size());
+  NewBody->Stored.reserve(static_cast<size_t>(std::count_if(
+      Insts.begin(), Insts.end(),
+      [](const VLIWInst &I) { return !idle(I); })));
+  size_t Bytes = NewBody->Slots.capacity() * sizeof(uint32_t) +
+                 NewBody->Stored.capacity() * sizeof(VLIWInst);
+  for (VLIWInst &I : Insts) {
+    if (idle(I)) {
+      NewBody->Slots.push_back(IdleSlot);
+      continue;
+    }
+    NewBody->Slots.push_back(static_cast<uint32_t>(NewBody->Stored.size()));
+    I.Ops.shrink_to_fit();
+    I.Agu.shrink_to_fit();
+    Bytes += I.Ops.capacity() * sizeof(MachOp) +
+             I.Agu.capacity() * sizeof(AguOp);
+    for (const MachOp &M : I.Ops)
+      Bytes += spilledBytes(M.Uses) + spilledBytes(M.Index.Terms) +
+               spilledBytes(M.Preds);
+    NewBody->Stored.push_back(std::move(I));
+  }
+  Insts.clear();
+  NewBody->Bytes = Bytes;
+  B = std::move(NewBody);
+}
 
 static std::string regToString(PhysReg R) {
   if (!R.isValid())

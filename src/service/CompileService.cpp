@@ -101,24 +101,10 @@ bool CompileService::memoLookup(const Fingerprint &Key, CompileResult &Out) {
   return true;
 }
 
-/// Heap bytes behind \p V once it has spilled past its inline capacity.
-template <typename T, unsigned N>
-static size_t spilledBytes(const SmallVec<T, N> &V) {
-  return V.onHeap() ? V.capacity() * sizeof(T) : 0;
-}
-
 size_t CompileService::resultBytes(const CompileResult &R) {
-  size_t Bytes = sizeof(CompileResult) + R.Error.size() +
-                 R.Code.Insts.size() * sizeof(VLIWInst) +
-                 R.Code.LiveInRegs.size() * 4 * sizeof(unsigned) +
-                 R.Report.Loops.size() * sizeof(LoopReport);
-  for (const VLIWInst &I : R.Code.Insts) {
-    Bytes += I.Ops.size() * sizeof(MachOp) + I.Agu.size() * sizeof(AguOp);
-    for (const MachOp &M : I.Ops)
-      Bytes += spilledBytes(M.Uses) + spilledBytes(M.Index.Terms) +
-               spilledBytes(M.Preds);
-  }
-  return Bytes;
+  return sizeof(CompileResult) + R.Error.size() + R.Code.Insts.bytes() +
+         R.Code.LiveInRegs.size() * 4 * sizeof(unsigned) +
+         R.Report.Loops.size() * sizeof(LoopReport);
 }
 
 void CompileService::memoInsert(const Fingerprint &Key,

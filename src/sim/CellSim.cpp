@@ -269,114 +269,132 @@ void CellSim::execOp(const MachOp &Op) {
   fail("unknown opcode");
 }
 
-CellSim::Status CellSim::step() {
-  if (Current == Status::Halted || Current == Status::Failed)
-    return Current;
-  if (PC >= Code.Insts.size()) {
-    fail("execution fell off the end of the program");
-    return Current;
-  }
-
-  const VLIWInst &Inst = Code.Insts[PC];
-
-  // Results due at this point of the execution clock land first, so the
-  // stall scan and execution read the same register state. (No
-  // double-apply across stalls: a slot is emptied once applied.) A
-  // collision stops the cell here.
-  applyWritebacks(Exec);
-  if (Current == Status::Failed)
-    return Current;
-
-  // Flow control: count the channel words this instruction's active ops
-  // need; stall the whole cell when the queues cannot satisfy them. Only
-  // Recv and Send have their predicates evaluated here.
-  size_t NeedIn = 0, NeedOut = 0;
-  for (const MachOp &Op : Inst.Ops) {
-    if (Op.Opc != Opcode::Recv && Op.Opc != Opcode::Send)
-      continue;
-    if (!predsHold(Op))
-      continue;
-    if (Op.Opc == Opcode::Recv)
-      ++NeedIn;
-    else
-      ++NeedOut;
-  }
-  if (NeedIn > 0 && !In->canPop(NeedIn)) {
-    if (In->Closed) {
-      fail("input channel exhausted");
+CellSim::Status CellSim::run(uint64_t Until) {
+  const InstList &Insts = Code.Insts;
+  const size_t NumInsts = Insts.size();
+  while (Cycle < Until &&
+         (Current == Status::Running || Current == Status::Stalled)) {
+    if (PC >= NumInsts) {
+      fail("execution fell off the end of the program");
       return Current;
     }
-    ++Stalls;
-    ++InputStalls;
-    ++Cycle;
-    Current = Status::Stalled;
-    return Current;
-  }
-  if (NeedOut > 0 && !Out->canPush(NeedOut)) {
-    ++Stalls;
-    ++OutputStalls;
-    ++Cycle;
-    Current = Status::Stalled;
-    return Current;
-  }
-  Current = Status::Running;
 
-  StoresThisCycle.clear();
-  SendsThisCycle.clear();
-  for (const MachOp &Op : Inst.Ops) {
-    execOp(Op);
+    // Results due at this point of the execution clock land first, so
+    // the stall scan and execution read the same register state. (No
+    // double-apply across stalls: a slot is emptied once applied.) A
+    // collision stops the cell here.
+    applyWritebacks(Exec);
     if (Current == Status::Failed)
       return Current;
-  }
 
-  for (auto SC = StoresThisCycle.begin(); SC != StoresThisCycle.end(); ++SC) {
-    if (std::any_of(StoresThisCycle.begin(), SC, [&](const StoreCommit &E) {
-          return E.ArrayId == SC->ArrayId && E.Index == SC->Index;
-        })) {
-      fail("two stores to the same address in one cycle");
-      return Current;
+    // An idle instruction issues nothing and cannot stall: the cycle
+    // only lands its writebacks (above), frees its reservation row and
+    // falls through.
+    if (Insts.isIdle(PC)) {
+      Current = Status::Running;
+      std::fill_n(ResUse.begin() + (Exec & ResMask) * NumRes, NumRes, 0u);
+      ++PC;
+      ++Cycle;
+      ++Exec;
+      continue;
     }
-    if (SC->IsFloat)
-      Result.State.FloatArrays[SC->ArrayId][SC->Index] = SC->FVal;
-    else
-      Result.State.IntArrays[SC->ArrayId][SC->Index] = SC->IVal;
-  }
-  for (float V : SendsThisCycle)
-    Out->Data.push_back(V);
-  for (const AguOp &A : Inst.Agu) {
-    int64_t V = A.Relative ? LoopVars[A.LoopId] : 0;
-    if (A.A.isValid())
-      V += IRegs[A.A.Index];
-    LoopVars[A.LoopId] = V + A.Imm;
-  }
+    const VLIWInst &Inst = Insts[PC];
 
-  size_t NextPC = PC + 1;
-  switch (Inst.Ctrl.K) {
-  case ControlOp::Kind::None:
-    break;
-  case ControlOp::Kind::Halt:
-    Current = Status::Halted;
-    break;
-  case ControlOp::Kind::Jump:
-    NextPC = Inst.Ctrl.Target;
-    break;
-  case ControlOp::Kind::JumpIfZero:
-    if (IRegs[Inst.Ctrl.Counter.Index] == 0)
+    // Flow control: count the channel words this instruction's active
+    // ops need; stall the whole cell when the queues cannot satisfy
+    // them. Only Recv and Send have their predicates evaluated here.
+    size_t NeedIn = 0, NeedOut = 0;
+    for (const MachOp &Op : Inst.Ops) {
+      if (Op.Opc != Opcode::Recv && Op.Opc != Opcode::Send)
+        continue;
+      if (!predsHold(Op))
+        continue;
+      if (Op.Opc == Opcode::Recv)
+        ++NeedIn;
+      else
+        ++NeedOut;
+    }
+    if (NeedIn > 0 && !In->canPop(NeedIn)) {
+      if (In->Closed) {
+        fail("input channel exhausted");
+        return Current;
+      }
+      ++Stalls;
+      ++InputStalls;
+      ++Cycle;
+      Current = Status::Stalled;
+      continue;
+    }
+    if (NeedOut > 0 && !Out->canPush(NeedOut)) {
+      ++Stalls;
+      ++OutputStalls;
+      ++Cycle;
+      Current = Status::Stalled;
+      continue;
+    }
+    Current = Status::Running;
+
+    StoresThisCycle.clear();
+    SendsThisCycle.clear();
+    for (const MachOp &Op : Inst.Ops) {
+      execOp(Op);
+      if (Current == Status::Failed)
+        return Current;
+    }
+
+    for (auto SC = StoresThisCycle.begin(); SC != StoresThisCycle.end();
+         ++SC) {
+      if (std::any_of(StoresThisCycle.begin(), SC,
+                      [&](const StoreCommit &E) {
+                        return E.ArrayId == SC->ArrayId &&
+                               E.Index == SC->Index;
+                      })) {
+        fail("two stores to the same address in one cycle");
+        return Current;
+      }
+      if (SC->IsFloat)
+        Result.State.FloatArrays[SC->ArrayId][SC->Index] = SC->FVal;
+      else
+        Result.State.IntArrays[SC->ArrayId][SC->Index] = SC->IVal;
+    }
+    for (float V : SendsThisCycle)
+      Out->Data.push_back(V);
+    for (const AguOp &A : Inst.Agu) {
+      int64_t V = A.Relative ? LoopVars[A.LoopId] : 0;
+      if (A.A.isValid())
+        V += IRegs[A.A.Index];
+      LoopVars[A.LoopId] = V + A.Imm;
+    }
+
+    size_t NextPC = PC + 1;
+    switch (Inst.Ctrl.K) {
+    case ControlOp::Kind::None:
+      break;
+    case ControlOp::Kind::Halt:
+      Current = Status::Halted;
+      break;
+    case ControlOp::Kind::Jump:
       NextPC = Inst.Ctrl.Target;
-    break;
-  case ControlOp::Kind::DecJumpPos: {
-    int64_t V = IRegs[Inst.Ctrl.Counter.Index] - 1;
-    IRegs[Inst.Ctrl.Counter.Index] = V;
-    if (V > 0)
-      NextPC = Inst.Ctrl.Target;
-    break;
+      break;
+    case ControlOp::Kind::JumpIfZero:
+      if (IRegs[Inst.Ctrl.Counter.Index] == 0)
+        NextPC = Inst.Ctrl.Target;
+      break;
+    case ControlOp::Kind::DecJumpPos: {
+      int64_t V = IRegs[Inst.Ctrl.Counter.Index] - 1;
+      IRegs[Inst.Ctrl.Counter.Index] = V;
+      if (V > 0)
+        NextPC = Inst.Ctrl.Target;
+      break;
+    }
+    }
+    PC = NextPC;
+    // No later issue can reserve this cycle, so its row is free for
+    // reuse.
+    std::fill_n(ResUse.begin() + (Exec & ResMask) * NumRes, NumRes, 0u);
+    ++Cycle;
+    ++Exec;
   }
-  }
-  PC = NextPC;
-  // No later issue can reserve this cycle, so its row is free for reuse.
-  std::fill_n(ResUse.begin() + (Exec & ResMask) * NumRes, NumRes, 0u);
-  ++Cycle;
-  ++Exec;
   return Current;
 }
 

@@ -45,8 +45,13 @@ public:
 
   enum class Status { Running, Stalled, Halted, Failed };
 
+  /// Runs until the cell halts or fails, or until cycles() reaches
+  /// \p Until, whichever comes first. Each cycle issues one instruction
+  /// or stalls on channel flow control; an idle instruction (see
+  /// InstList) only lands the cycle's writebacks and moves on.
+  Status run(uint64_t Until);
   /// Advances one cycle (or stalls on channel flow control).
-  Status step();
+  Status step() { return run(Cycle + 1); }
 
   Status status() const { return Current; }
   uint64_t cycles() const { return Cycle; }

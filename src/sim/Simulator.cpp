@@ -26,15 +26,12 @@ SimResult swp::simulate(const VLIWProgram &Code, const Program &P,
   In.Closed = true; // No producer: an over-pop is a hard error.
 
   CellSim Sim(Code, P, MD, Input, &In, &Out);
-  while (Sim.status() != CellSim::Status::Halted &&
-         Sim.status() != CellSim::Status::Failed) {
-    if (Sim.cycles() >= Opts.MaxCycles) {
-      SimResult R = Sim.takeResult();
-      R.State.Ok = false;
-      R.State.Error = "cycle limit exceeded (runaway loop?)";
-      return R;
-    }
-    Sim.step();
+  CellSim::Status S = Sim.run(Opts.MaxCycles);
+  if (S != CellSim::Status::Halted && S != CellSim::Status::Failed) {
+    SimResult R = Sim.takeResult();
+    R.State.Ok = false;
+    R.State.Error = "cycle limit exceeded (runaway loop?)";
+    return R;
   }
   SimResult R = Sim.takeResult();
   R.State.OutputQueue = std::move(Out.Data);

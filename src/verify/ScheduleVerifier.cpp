@@ -290,6 +290,13 @@ VerifyReport swp::verifyPipelinedLoop(const VLIWProgram &Code,
                                       const PipelinedLoopLayout &L,
                                       const DepGraph &G,
                                       const Schedule &Sched) {
+  return verifyPipelinedLoop(Code.Insts.expand(), L, G, Sched);
+}
+
+VerifyReport swp::verifyPipelinedLoop(std::span<const VLIWInst> Code,
+                                      const PipelinedLoopLayout &L,
+                                      const DepGraph &G,
+                                      const Schedule &Sched) {
   VerifyReport R;
   if (L.II == 0) {
     R.add(VerifyErrorKind::BadII, "layout claims II = 0");
@@ -336,11 +343,11 @@ VerifyReport swp::verifyPipelinedLoop(const VLIWProgram &Code,
     return R;
   }
 
-  if (L.end() > Code.Insts.size()) {
+  if (L.end() > Code.size()) {
     R.add(VerifyErrorKind::StructureMismatch,
           "pipelined region [" + std::to_string(L.PrologBase) + ", " +
               std::to_string(L.end()) + ") extends past the " +
-              std::to_string(Code.Insts.size()) +
+              std::to_string(Code.size()) +
               "-instruction program (truncated epilog?)");
     return R;
   }
@@ -358,7 +365,7 @@ VerifyReport swp::verifyPipelinedLoop(const VLIWProgram &Code,
           ++Want[F.Opc];
       size_t Index = Base + Row;
       OpHistogram Got;
-      for (const MachOp &Op : Code.Insts[Index].Ops)
+      for (const MachOp &Op : Code[Index].Ops)
         ++Got[Op.Opc];
       if (Want != Got) {
         std::ostringstream OS;
@@ -389,7 +396,7 @@ VerifyReport swp::verifyPipelinedLoop(const VLIWProgram &Code,
   // The kernel's last instruction loops back to the kernel head and
   // advances the loop variable by the unroll degree; nothing else in the
   // region may own the sequencer slot.
-  const VLIWInst &Back = Code.Insts[KernelLast];
+  const VLIWInst &Back = Code[KernelLast];
   if (Back.Ctrl.K != ControlOp::Kind::DecJumpPos)
     R.add(VerifyErrorKind::StructureMismatch,
           "kernel's final instruction " + std::to_string(KernelLast) +
@@ -411,7 +418,7 @@ VerifyReport swp::verifyPipelinedLoop(const VLIWProgram &Code,
               std::to_string(U));
   for (size_t I = L.PrologBase; I != L.end(); ++I)
     if (I != KernelLast &&
-        Code.Insts[I].Ctrl.K != ControlOp::Kind::None)
+        Code[I].Ctrl.K != ControlOp::Kind::None)
       R.add(VerifyErrorKind::StructureMismatch,
             "unexpected control operation inside the pipelined region at "
             "instruction " + std::to_string(I));

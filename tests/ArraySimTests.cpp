@@ -9,6 +9,8 @@
 #include "swp/Codegen/Compiler.h"
 #include "swp/IR/IRBuilder.h"
 
+#include "DecodedCode.h"
+
 #include <gtest/gtest.h>
 
 using namespace swp;
@@ -40,6 +42,13 @@ struct StreamCell {
     Code = std::move(CR.Code);
   }
 };
+
+size_t idleWords(const VLIWProgram &Code) {
+  size_t N = 0;
+  for (size_t I = 0; I != Code.Insts.size(); ++I)
+    N += Code.Insts.isIdle(I);
+  return N;
+}
 
 } // namespace
 
@@ -128,6 +137,50 @@ TEST(ArraySim, BoundedChannelBackpressure) {
     EXPECT_FLOAT_EQ(R.ArrayOutput[I], I + 4.0f);
 }
 
+TEST(ArraySim, StallsAcrossIdleWordsMatchTheDecodedRun) {
+  // A pipelined producer feeds an unpipelined consumer whose serial
+  // chain leaves idle words between its ops, through a 2-word channel:
+  // both cells stall, and stepping over idle words must not move a
+  // single stall, cycle or output word against decoding every word.
+  MachineDescription MD = MachineDescription::warpCell();
+  constexpr int N = 48;
+  StreamCell Fast(N, 2.0f, 0.0f, MD);
+  StreamCell Slow(N, 1.0f, 1.0f, MD, /*Pipelined=*/false);
+  ASSERT_TRUE(Fast.Ok && Slow.Ok);
+  ASSERT_GT(idleWords(Fast.Code), 0u);
+  ASSERT_GT(idleWords(Slow.Code), 0u);
+  VLIWProgram FastD = decodeEveryWord(Fast.Code);
+  VLIWProgram SlowD = decodeEveryWord(Slow.Code);
+  EXPECT_EQ(idleWords(FastD) + idleWords(SlowD), 0u);
+
+  std::vector<float> Input;
+  for (int I = 0; I != N; ++I)
+    Input.push_back(static_cast<float>(I));
+  ArrayOptions Opts;
+  Opts.ChannelCapacity = 2;
+  ArrayRunResult R = simulateLinearArray(
+      {{&Fast.Code, Fast.Prog.get(), {}}, {&Slow.Code, Slow.Prog.get(), {}}},
+      MD, Input, Opts);
+  ArrayRunResult D = simulateLinearArray(
+      {{&FastD, Fast.Prog.get(), {}}, {&SlowD, Slow.Prog.get(), {}}}, MD,
+      Input, Opts);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  ASSERT_TRUE(D.Ok) << D.Error;
+  EXPECT_GT(R.StallCycles[0], 0u) << "producer must feel backpressure";
+  EXPECT_EQ(R.Cycles, D.Cycles);
+  EXPECT_EQ(R.StallCycles, D.StallCycles);
+  EXPECT_EQ(R.ArrayOutput, D.ArrayOutput);
+  ASSERT_EQ(R.Cells.size(), D.Cells.size());
+  for (size_t I = 0; I != R.Cells.size(); ++I) {
+    EXPECT_EQ(R.Cells[I].Cycles, D.Cells[I].Cycles) << "cell " << I;
+    EXPECT_EQ(R.Cells[I].Util.toJson(), D.Cells[I].Util.toJson())
+        << "cell " << I;
+  }
+  ASSERT_EQ(R.ArrayOutput.size(), static_cast<size_t>(N));
+  for (int I = 0; I != N; ++I)
+    EXPECT_FLOAT_EQ(R.ArrayOutput[I], 2.0f * I + 1.0f);
+}
+
 TEST(ArraySim, StarvationIsAnError) {
   // Cell 0 sends 8 words; cell 1 wants 16: once cell 0 halts, the
   // channel closes and the over-read is a hard error, not a hang.
@@ -174,22 +227,23 @@ TEST(ArraySim, CellFailingInTheDrainFailsTheArray) {
   // cell's result is drained, and the array must report it.
   MachineDescription MD = MachineDescription::warpCell();
   Program P;
-  VLIWProgram Code;
-  Code.Insts.resize(8);
+  std::vector<VLIWInst> Insts(8);
   MachOp One;
   One.Opc = Opcode::FConst;
   One.Def = {RegClass::Float, 0};
   One.FImm = 1.0;
-  Code.Insts[0].Ops.push_back(One);
+  Insts[0].Ops.push_back(One);
   MachOp Mul;
   Mul.Opc = Opcode::FMul;
   Mul.Def = {RegClass::Float, 5};
   Mul.Uses = {One.Def, One.Def};
-  Code.Insts[1].Ops.push_back(Mul); // Lands at 8.
+  Insts[1].Ops.push_back(Mul); // Lands at 8.
   MachOp Two = One;
   Two.Def = Mul.Def;
-  Code.Insts[7].Ops.push_back(Two); // Also lands at 8.
-  Code.Insts[7].Ctrl.K = ControlOp::Kind::Halt;
+  Insts[7].Ops.push_back(Two); // Also lands at 8.
+  Insts[7].Ctrl.K = ControlOp::Kind::Halt;
+  VLIWProgram Code;
+  Code.Insts = std::move(Insts);
 
   ArrayRunResult R = simulateLinearArray({{&Code, &P, {}}}, MD, {});
   EXPECT_FALSE(R.Ok);

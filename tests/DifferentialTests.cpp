@@ -13,6 +13,9 @@
 
 #include "swp/IR/IRBuilder.h"
 #include "swp/Interp/Interpreter.h"
+#include "swp/Sim/Simulator.h"
+
+#include "DecodedCode.h"
 
 #include <gtest/gtest.h>
 
@@ -165,6 +168,50 @@ TEST(Differential, InlineListsSpillPastTheirCapacity) {
 
   DiffOutcome O = runDifferential(Spec, MD);
   EXPECT_TRUE(O.Ok) << O.Error;
+}
+
+// The simulator steps over idle words without decoding them. Over every
+// shipped workload, pipelined and not, run to completion and cut off at
+// half its cycles, that must give the same SimResult, field for field,
+// as decoding every word.
+TEST(Differential, IdleWordsSimulateLikeDecodedOnes) {
+  MachineDescription MD = MachineDescription::warpCell();
+  std::vector<WorkloadSpec> Suite = livermoreKernels();
+  for (const WorkloadSpec &S : userPrograms())
+    Suite.push_back(S);
+  size_t IdleWords = 0;
+  for (const WorkloadSpec &S : Suite)
+    for (bool Pipelining : {true, false}) {
+      BuiltWorkload W = S.Make();
+      CompilerOptions Opts;
+      Opts.EnablePipelining = Pipelining;
+      CompileResult CR = compileProgram(*W.Prog, MD, Opts);
+      ASSERT_TRUE(CR.Ok) << S.Name << ": " << CR.Error;
+      for (size_t I = 0; I != CR.Code.Insts.size(); ++I)
+        IdleWords += CR.Code.Insts.isIdle(I);
+      VLIWProgram Decoded = decodeEveryWord(CR.Code);
+      SimResult Full = simulate(CR.Code, *W.Prog, MD, W.Input);
+      ASSERT_TRUE(Full.State.Ok) << S.Name << ": " << Full.State.Error;
+      SimOptions Half;
+      Half.MaxCycles = Full.Cycles / 2;
+      for (const SimOptions &SO : {SimOptions(), Half}) {
+        SimResult A = simulate(CR.Code, *W.Prog, MD, W.Input, SO);
+        SimResult B = simulate(Decoded, *W.Prog, MD, W.Input, SO);
+        std::string Where = S.Name + (Pipelining ? " pipelined" : "") +
+                            " to cycle " + std::to_string(SO.MaxCycles);
+        EXPECT_EQ(A.Cycles, B.Cycles) << Where;
+        EXPECT_EQ(A.MFLOPS, B.MFLOPS) << Where;
+        EXPECT_EQ(A.State.Ok, B.State.Ok) << Where;
+        EXPECT_EQ(A.State.Error, B.State.Error) << Where;
+        EXPECT_EQ(A.State.DynOps, B.State.DynOps) << Where;
+        EXPECT_EQ(A.State.Flops, B.State.Flops) << Where;
+        EXPECT_EQ(A.State.FloatArrays, B.State.FloatArrays) << Where;
+        EXPECT_EQ(A.State.IntArrays, B.State.IntArrays) << Where;
+        EXPECT_EQ(A.State.OutputQueue, B.State.OutputQueue) << Where;
+        EXPECT_EQ(A.Util.toJson(), B.Util.toJson()) << Where;
+      }
+    }
+  EXPECT_GT(IdleWords, 0u);
 }
 
 TEST(Differential, RandomLoopGeneratorIsDeterministic) {

@@ -338,9 +338,10 @@ TEST(CompileService, BudgetedJobsBypassTheMemo) {
   EXPECT_EQ(Service.stats().MemoHits, 0u);
 }
 
-// The byte budget charges a result for every op (and any list spilled
-// past its inline capacity), not only for the instruction headers: a cap
-// with room for two results evicts the least recent one on the third.
+// The byte budget charges a result for the code its list stores: every
+// stored (non-idle) instruction with its ops and AGU updates, plus one
+// slot per instruction. A cap with room for two results evicts the least
+// recent one on the third.
 TEST(CompileService, ByteBudgetCountsOpsAndEvicts) {
   MachineDescription MD = MachineDescription::warpCell();
   const int64_t His[] = {1023, 2047, 4095};
@@ -348,9 +349,23 @@ TEST(CompileService, ByteBudgetCountsOpsAndEvicts) {
   for (int64_t Hi : His) {
     CompileResult R = compileProgram(*chainProgram(false, false, Hi), MD);
     ASSERT_TRUE(R.Ok) << R.Error;
-    size_t OpBytes = 0;
-    for (const VLIWInst &I : R.Code.Insts)
-      OpBytes += sizeof(VLIWInst) + I.Ops.size() * sizeof(MachOp);
+    const InstList &Code = R.Code.Insts;
+    size_t OpBytes = Code.size() * sizeof(uint32_t);
+    size_t Idle = 0;
+    for (size_t I = 0; I != Code.size(); ++I) {
+      if (Code.isIdle(I)) {
+        ++Idle;
+        continue;
+      }
+      const VLIWInst &Inst = Code[I];
+      OpBytes += sizeof(VLIWInst) + Inst.Ops.size() * sizeof(MachOp) +
+                 Inst.Agu.size() * sizeof(AguOp);
+      for (const MachOp &M : Inst.Ops)
+        ASSERT_FALSE(M.Uses.onHeap() || M.Index.Terms.onHeap() ||
+                     M.Preds.onHeap());
+    }
+    EXPECT_GT(Idle, 0u) << "the chain's pipelined code has idle words";
+    EXPECT_EQ(Code.bytes(), OpBytes);
     size_t Bytes = CompileService::resultBytes(R);
     EXPECT_GT(Bytes, OpBytes);
     MinBytes = std::min(MinBytes, Bytes);
@@ -377,6 +392,73 @@ TEST(CompileService, ByteBudgetCountsOpsAndEvicts) {
   EXPECT_EQ(Service.stats().MemoHits, 2u);
   Submit(His[0]);
   EXPECT_EQ(Service.stats().Compiles, 4u);
+}
+
+// A memo hit copies the result but not its code: the compile's own
+// response, the memo entry and every hit read one instruction list, and
+// each response still owns its report.
+TEST(CompileService, MemoHitsShareTheCompiledCode) {
+  MachineDescription MD = MachineDescription::warpCell();
+  CompileService Service;
+  CompileJob J;
+  J.MD = &MD;
+  J.Make = [] { return chainProgram(); };
+  CompileResult Compiled = Service.compileOne(J);
+  CompileResult Hit1 = Service.compileOne(J);
+  CompileResult Hit2 = Service.compileOne(J);
+  ASSERT_TRUE(Compiled.Ok && Hit1.Ok && Hit2.Ok);
+  EXPECT_EQ(Service.stats().Compiles, 1u);
+  EXPECT_EQ(Service.stats().MemoHits, 2u);
+  const InstList &Code = Compiled.Code.Insts;
+  ASSERT_FALSE(Code.empty());
+  ASSERT_EQ(Hit1.Code.Insts.size(), Code.size());
+  ASSERT_EQ(Hit2.Code.Insts.size(), Code.size());
+  for (size_t I = 0; I != Code.size(); ++I) {
+    EXPECT_EQ(&Hit1.Code.Insts[I], &Code[I]) << "instruction " << I;
+    EXPECT_EQ(&Hit2.Code.Insts[I], &Code[I]) << "instruction " << I;
+  }
+  ASSERT_EQ(Compiled.Report.Loops.size(), 1u);
+  ASSERT_EQ(Hit1.Report.Loops.size(), 1u);
+  EXPECT_NE(Hit1.Report.Loops.data(), Compiled.Report.Loops.data());
+  EXPECT_NE(Hit1.Report.Loops.data(), Hit2.Report.Loops.data());
+  Hit1.Report.Loops.clear();
+  EXPECT_EQ(Hit2.Report.Loops.size(), 1u);
+  EXPECT_EQ(Compiled.Report.Loops.size(), 1u);
+}
+
+// A response keeps its code alive on its own: after the memo evicted the
+// entry it came from, and after the service itself is gone, it still
+// reads its own program's code.
+TEST(CompileService, ResponseOutlivesItsEvictedMemoEntry) {
+  MachineDescription MD = MachineDescription::warpCell();
+  const std::string Want =
+      vliwProgramToString(compileProgram(*chainProgram(), MD).Code, MD);
+  ASSERT_NE(Want, vliwProgramToString(
+                      compileProgram(*chainProgram(false, false, 2047), MD)
+                          .Code,
+                      MD));
+  CompileResult Kept;
+  {
+    CompileService::Config SC;
+    SC.MemoShards = 1;
+    SC.MemoMaxEntries = 1;
+    CompileService Service(SC);
+    auto Submit = [&](int64_t Hi) {
+      CompileJob J;
+      J.MD = &MD;
+      J.Make = [Hi] { return chainProgram(false, false, Hi); };
+      return Service.compileOne(J);
+    };
+    ASSERT_TRUE(Submit(1023).Ok);
+    Kept = Submit(1023);
+    EXPECT_EQ(Service.stats().MemoHits, 1u);
+    ASSERT_TRUE(Submit(2047).Ok); // Evicts the entry Kept came from.
+    ASSERT_TRUE(Submit(1023).Ok); // So this one compiles again.
+    EXPECT_EQ(Service.stats().Compiles, 3u);
+    EXPECT_EQ(Service.stats().MemoHits, 1u);
+  }
+  ASSERT_TRUE(Kept.Ok);
+  EXPECT_EQ(vliwProgramToString(Kept.Code, MD), Want);
 }
 
 TEST(CompileService, StatsJsonKeysSorted) {

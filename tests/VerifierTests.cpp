@@ -300,8 +300,10 @@ TEST(ScheduleVerifier, TruncatedEpilogRejected) {
 
   // Chop the program off inside the epilog: the region now extends past
   // the end of the code.
+  std::vector<VLIWInst> Insts = E.CR.Code.Insts.expand();
+  Insts.resize(L.end() - 1);
   VLIWProgram Mutant = E.CR.Code;
-  Mutant.Insts.resize(L.end() - 1);
+  Mutant.Insts = std::move(Insts);
   VerifyReport VR = verifyPipelinedLoop(Mutant, L, E.F.G, E.F.MS.Sched);
   EXPECT_TRUE(VR.has(VerifyErrorKind::StructureMismatch)) << VR.str();
 }
@@ -318,15 +320,17 @@ TEST(ScheduleVerifier, DroppedEpilogOpsRejected) {
   // Empty out the first epilog instruction that still drains operations:
   // the code stays well-formed but no longer completes the last
   // iterations.
-  VLIWProgram Mutant = E.CR.Code;
+  std::vector<VLIWInst> Insts = E.CR.Code.Insts.expand();
   bool Dropped = false;
   for (size_t I = L.epilogBase(); I != L.end(); ++I)
-    if (!Mutant.Insts[I].Ops.empty()) {
-      Mutant.Insts[I].Ops.clear();
+    if (!Insts[I].Ops.empty()) {
+      Insts[I].Ops.clear();
       Dropped = true;
       break;
     }
   ASSERT_TRUE(Dropped) << "epilog must drain at least one operation";
+  VLIWProgram Mutant = E.CR.Code;
+  Mutant.Insts = std::move(Insts);
   VerifyReport VR = verifyPipelinedLoop(Mutant, L, E.F.G, E.F.MS.Sched);
   EXPECT_TRUE(VR.has(VerifyErrorKind::StructureMismatch)) << VR.str();
 }
@@ -340,8 +344,10 @@ TEST(ScheduleVerifier, RetargetedBackedgeRejected) {
   PipelinedLoopLayout L{R.Region.PrologBase, R.II, R.Stages, R.Unroll,
                         R.LoopId};
 
+  std::vector<VLIWInst> Insts = E.CR.Code.Insts.expand();
+  Insts[L.epilogBase() - 1].Ctrl.Target += 1;
   VLIWProgram Mutant = E.CR.Code;
-  Mutant.Insts[L.epilogBase() - 1].Ctrl.Target += 1;
+  Mutant.Insts = std::move(Insts);
   VerifyReport VR = verifyPipelinedLoop(Mutant, L, E.F.G, E.F.MS.Sched);
   EXPECT_TRUE(VR.has(VerifyErrorKind::StructureMismatch)) << VR.str();
 }
