@@ -33,10 +33,10 @@ target_compile_definitions(bench_sched_micro PRIVATE
   SWP_BINARY_DIR="${CMAKE_BINARY_DIR}")
 
 # The compile-service reuse gate: warm-hit latency, batched throughput,
-# and memoized-vs-serial bit-identity (see bench_cache.cpp).
-swp_add_bench(bench_cache)
-target_link_libraries(bench_cache PRIVATE swp_service swp_difftest)
-target_compile_definitions(bench_cache PRIVATE
+# and memoized-vs-serial bit-identity (see bench_service.cpp).
+swp_add_bench(bench_service)
+target_link_libraries(bench_service PRIVATE swp_service swp_difftest)
+target_compile_definitions(bench_service PRIVATE
   SWP_SOURCE_DIR="${CMAKE_SOURCE_DIR}"
   SWP_BINARY_DIR="${CMAKE_BINARY_DIR}")
 

@@ -12,7 +12,7 @@
 /// versioned — every response envelope carries "api_version" (see
 /// Version.h for the stability policy) — and everything underneath is
 /// the existing compiler stack: requests flow through a CompileService
-/// (whole-result memo, single-flight dedup) into compileProgram, so a
+/// (a whole-result memo) into compileProgram, so a
 /// session's results are bit-identical to bare compileProgram calls
 /// (tests enforce the equivalence).
 ///
@@ -201,16 +201,9 @@ struct SessionConfig {
   /// share one memo; null gives the session a private service.
   CompileService *Service = nullptr;
 
-  /// Whole-result memoization for the session-private service. Ignored
-  /// — and rejected by validate() — when Service is injected.
-  bool MemoizeResults = true;
-
-  /// First incoherence in this config ("" when coherent): an injected
-  /// Service combined with MemoizeResults = false (it configures the
-  /// private service the injection replaces — it would be silently
-  /// ignored), or DefaultOpts that fail
-  /// CompilerOptions::validate(). Session's constructor runs this;
-  /// a bad config fails every request with the message rather than
+  /// First incoherence in this config ("" when coherent): DefaultOpts
+  /// that fail CompilerOptions::validate(). Session's constructor runs
+  /// this; a bad config fails every request with the message rather than
   /// aborting (constructors can't return errors).
   std::string validate() const;
 };

@@ -32,12 +32,12 @@ namespace swp {
 namespace api {
 
 /// Incompatible-change counter (see the stability policy above).
-constexpr unsigned VersionMajor = 6;
+constexpr unsigned VersionMajor = 7;
 /// Backward-compatible-addition counter.
 constexpr unsigned VersionMinor = 0;
 
 /// "MAJOR.MINOR" as carried by every response envelope.
-constexpr const char *versionString() { return "6.0"; }
+constexpr const char *versionString() { return "7.0"; }
 
 } // namespace api
 } // namespace swp

@@ -1,33 +1,27 @@
-//===- swp/Service/CompileService.h - Batched compile front end -*- C++ -*-===//
+//===- swp/Service/CompileService.h - Memoizing compile service -*- C++ -*-===//
 //
 // Part of warp-swp. See DESIGN.md section 10.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The service-level front end over compileProgram: accepts batches of
-/// compile jobs, deduplicates identical requests by whole-program
-/// fingerprint, and shards independent compiles across a thread pool
-/// (the process-wide ThreadPool::global() unless one is injected).
+/// The service-level front end over compileProgram: one reuse layer, an
+/// in-memory memo of finished CompileResults keyed by the (program,
+/// machine, options) fingerprint of jobKey. A warm repeat request costs
+/// a fingerprint walk plus a copy, no compilation at all. A copied
+/// result shares its instruction list (InstList) with the compile that
+/// produced it, so the memo and its hits hold one copy of the code; each
+/// keeps its own report, error string and live-in map.
 ///
-/// Two layers of reuse, both keyed by the (program, machine, options)
-/// fingerprint of jobKey:
-///  - an in-memory memo of finished CompileResults — a warm repeat
-///    request costs a fingerprint walk plus a copy, no compilation at all;
-///  - single-flight dedup of in-flight work: concurrent requests for the
-///    same fingerprint wait on the one running compile and copy its
-///    result instead of racing.
-/// A copied result shares its instruction list (InstList) with the
-/// compile that produced it, so the memo, its hits and the followers of
-/// one flight hold one copy of the code; each keeps its own report,
-/// error string and live-in map.
+/// compileOne is thread-safe, and callers bring their own concurrency
+/// (the session API runs requests on its pool); two concurrent misses on
+/// one key may both compile, and the later insert replaces the earlier.
 ///
 /// Determinism contract: compileProgram is a pure function of (program,
-/// machine, options), so memoized, coalesced, and batched results are
-/// bit-identical to serial one-at-a-time compiles. Tests enforce this.
-/// Budgeted or chaos-armed jobs are compiled directly and never memoized
-/// (their outcome is a function of wall-clock or injected faults, not
-/// content).
+/// machine, options), so memoized results are bit-identical to serial
+/// one-at-a-time compiles. Tests enforce this. Budgeted or chaos-armed
+/// jobs are compiled directly and never memoized (their outcome is a
+/// function of wall-clock or injected faults, not content).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +32,6 @@
 #include "swp/Support/Fingerprint.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -50,30 +43,26 @@
 
 namespace swp {
 
-class ThreadPool;
-
 /// One compile request. The factory is invoked once per actual compile
 /// (compileProgram mutates its input, so every compile needs a fresh
-/// instance); requests whose instances fingerprint equal are served by
-/// one compilation. A factory that throws fails its request, and every
-/// request coalesced onto it, with Ok = false and an error naming the
-/// failure; that result is never memoized.
+/// instance); a request whose instance fingerprints equal to a memoized
+/// one is served from the memo. A factory that throws fails its request
+/// with Ok = false and an error naming the failure; that result is never
+/// memoized.
 struct CompileJob {
   std::function<std::unique_ptr<Program>()> Make;
   const MachineDescription *MD = nullptr;
   CompilerOptions Opts;
   /// Precomputed jobKey(instance, *MD, Opts) for this request. When set,
-  /// memoized and coalesced requests are served without materializing the
-  /// program at all — the factory runs only when a compile is actually
-  /// needed. The caller owns the contract that the key matches what Make
-  /// produces; a wrong key returns the wrong program's code.
+  /// a memo hit is served without materializing the program at all — the
+  /// factory runs only when a compile is actually needed. The caller owns
+  /// the contract that the key matches what Make produces; a wrong key
+  /// returns the wrong program's code.
   std::optional<Fingerprint> Key;
   /// Per-request budget/cancellation tracker (not owned; the session API
-  /// arms one per submission). A tracker-armed job still hits the memo
-  /// but never joins or leads a single-flight group — a cancelled leader
-  /// must not hand its aborted result to innocent followers — and its
-  /// result is memoized only when the tracker never tripped. A tracker
-  /// whose budget carries real ceilings makes the job wall-clock
+  /// arms one per submission). A tracker-armed job still hits the memo,
+  /// and its result is memoized only when the tracker never tripped. A
+  /// tracker whose budget carries real ceilings makes the job wall-clock
   /// dependent, so it compiles directly like an inline-budgeted one.
   BudgetTracker *Tracker = nullptr;
 };
@@ -83,7 +72,9 @@ struct ServiceStats {
   uint64_t Requests = 0; ///< Jobs submitted.
   uint64_t Compiles = 0; ///< compileProgram actually ran.
   uint64_t MemoHits = 0; ///< Served from the finished-result memo.
-  uint64_t Coalesced = 0;///< Waited on an identical in-flight compile.
+  /// Always 0 since API 7.0 (the service has no in-flight dedup); kept
+  /// for readers built against earlier releases.
+  uint64_t Coalesced = 0;
 
   /// Compact sorted-key JSON object.
   std::string toJson() const;
@@ -92,11 +83,6 @@ struct ServiceStats {
 class CompileService {
 public:
   struct Config {
-    /// Pool for compileBatch; null = ThreadPool::global(). Injected pools
-    /// let tests pin widths.
-    ThreadPool *Pool = nullptr;
-    /// Whole-result memoization (off leaves only single-flight dedup).
-    bool MemoizeResults = true;
     size_t MemoMaxEntries = 1024;
     size_t MemoMaxBytes = 256u << 20;
     unsigned MemoShards = 8;
@@ -108,17 +94,12 @@ public:
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
 
-  /// Compiles one job through the memo / single-flight stack.
+  /// Compiles one job through the memo. Thread-safe.
   CompileResult compileOne(const CompileJob &Job);
-
-  /// Compiles a batch across the pool; results come back in job order and
-  /// are bit-identical to calling compileOne serially (which is itself
-  /// bit-identical to bare compileProgram calls).
-  std::vector<CompileResult> compileBatch(const std::vector<CompileJob> &Jobs);
 
   ServiceStats stats() const;
 
-  /// The key compileOne dedups on (exposed for tests): program structure,
+  /// The key compileOne memoizes on (exposed for tests): program structure,
   /// machine model, and every code- or report-shaping option.
   static Fingerprint jobKey(const Program &P, const MachineDescription &MD,
                             const CompilerOptions &Opts);
@@ -130,13 +111,6 @@ public:
   static size_t resultBytes(const CompileResult &R);
 
 private:
-  struct Flight {
-    std::mutex Mu;
-    std::condition_variable Ready;
-    bool Done = false;
-    CompileResult Result;
-  };
-
   struct MemoShard {
     std::mutex Mu;
     std::list<std::pair<Fingerprint, CompileResult>> Lru;
@@ -157,14 +131,10 @@ private:
 
   Config Cfg;
   std::vector<MemoShard> Memo;
-  std::mutex FlightsMu;
-  std::unordered_map<Fingerprint, std::shared_ptr<Flight>, FingerprintHash>
-      Flights;
 
   mutable std::atomic<uint64_t> Requests{0};
   mutable std::atomic<uint64_t> Compiles{0};
   mutable std::atomic<uint64_t> MemoHits{0};
-  mutable std::atomic<uint64_t> Coalesced{0};
 };
 
 } // namespace swp

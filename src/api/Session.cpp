@@ -176,9 +176,6 @@ std::string CompileResponse::toJson() const {
 //===----------------------------------------------------------------------===//
 
 std::string SessionConfig::validate() const {
-  if (Service && !MemoizeResults)
-    return "SessionConfig: MemoizeResults configures the session-private "
-           "service; it is ignored when a Service is injected";
   std::vector<OptionDiag> Diags = DefaultOpts.validate();
   if (!Diags.empty())
     return "SessionConfig: DefaultOpts invalid: " + Diags.front().Message;
@@ -377,10 +374,7 @@ Session::Session(SessionConfig Cfg) : I(std::make_unique<Impl>()) {
   if (I->Cfg.Service) {
     I->Service = I->Cfg.Service;
   } else {
-    CompileService::Config SC;
-    SC.Pool = I->Pool;
-    SC.MemoizeResults = I->Cfg.MemoizeResults;
-    I->OwnedService.emplace(SC);
+    I->OwnedService.emplace();
     I->Service = &*I->OwnedService;
   }
 }

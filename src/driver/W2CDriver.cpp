@@ -121,7 +121,7 @@ bool emitMetricsSnapshot(const std::string &Path, std::ostream &Out,
 }
 
 /// The --batch path: every input file goes through one Session
-/// (identical files coalesce into one compile).
+/// (identical files share one compile through the memo).
 int runBatch(const std::vector<std::string> &Paths, TargetRegistry &Reg,
              const std::string &Target, const CompilerOptions &Opts,
              bool Stats, bool Json, bool Utilization,
@@ -236,8 +236,7 @@ int runBatch(const std::vector<std::string> &Paths, TargetRegistry &Reg,
     if (Stats) {
       ServiceStats SS = Sess.stats();
       Out << "service: " << SS.Requests << " requests, " << SS.Compiles
-          << " compiles, " << SS.MemoHits << " memo hits, " << SS.Coalesced
-          << " coalesced\n";
+          << " compiles, " << SS.MemoHits << " memo hits\n";
     }
   }
   if (Metrics && !emitMetricsSnapshot(MetricsOut, Out, Err))

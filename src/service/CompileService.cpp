@@ -1,4 +1,4 @@
-//===- CompileService.cpp - Batched compile front end ---------------------===//
+//===- CompileService.cpp - Memoizing compile service ---------------------===//
 //
 // Part of warp-swp. See swp/Service/CompileService.h.
 //
@@ -7,7 +7,6 @@
 #include "swp/Service/CompileService.h"
 
 #include "swp/Metrics/Metrics.h"
-#include "swp/Support/ThreadPool.h"
 #include "swp/Support/Trace.h"
 
 #include <cassert>
@@ -22,7 +21,7 @@ namespace {
 /// Fleet counters mirroring ServiceStats, aggregated over every
 /// CompileService in the process.
 struct ServiceMetrics {
-  metrics::Counter Requests, Compiles, MemoHits, Coalesced;
+  metrics::Counter Requests, Compiles, MemoHits;
   static const ServiceMetrics &get() {
     static ServiceMetrics M = [] {
       auto &R = metrics::MetricsRegistry::global();
@@ -33,9 +32,6 @@ struct ServiceMetrics {
                              "Requests that ran a real compile");
       M.MemoHits = R.counter("swp_service_memo_hits_total", "",
                              "Requests served from the whole-result memo");
-      M.Coalesced = R.counter(
-          "swp_service_coalesced_total", "",
-          "Requests coalesced onto another request's in-flight compile");
       return M;
     }();
     return M;
@@ -43,8 +39,8 @@ struct ServiceMetrics {
 };
 
 /// Calls the job's factory. A throw (or a null program) becomes a null
-/// result plus \p Error, so no request leaves compileOne by exception: a
-/// single-flight leader must always publish its flight.
+/// result plus \p Error, so no request leaves compileOne by exception and
+/// the failure resolves as Ok = false, never memoized.
 std::unique_ptr<Program> makeProgram(const CompileJob &Job,
                                      std::string &Error) {
   try {
@@ -63,8 +59,8 @@ std::unique_ptr<Program> makeProgram(const CompileJob &Job,
 
 std::string ServiceStats::toJson() const {
   std::ostringstream OS;
-  OS << "{\"coalesced\":" << Coalesced << ",\"compiles\":" << Compiles
-     << ",\"memo_hits\":" << MemoHits << ",\"requests\":" << Requests << "}";
+  OS << "{\"compiles\":" << Compiles << ",\"memo_hits\":" << MemoHits
+     << ",\"requests\":" << Requests << "}";
   return OS.str();
 }
 
@@ -157,8 +153,8 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
   assert(Job.Make && Job.MD && "CompileJob needs a factory and a machine");
 
   // Budgeted or chaos-armed compiles are functions of wall-clock / injected
-  // faults, not content: compile directly, never share or memoize. A
-  // tracker carrying real ceilings is a budgeted compile by another name.
+  // faults, not content: compile directly, never memoize. A tracker
+  // carrying real ceilings is a budgeted compile by another name.
   std::unique_ptr<Program> P;
   if (Job.Opts.Budget.limited() || Job.Opts.ChaosSeed != 0 ||
       (Job.Tracker && Job.Tracker->budget().limited()))
@@ -172,7 +168,7 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
   }
 
   // With a client-provided key the program is built lazily — a memo hit
-  // or coalesced wait never materializes it.
+  // never materializes it.
   Fingerprint Key;
   if (Job.Key) {
     Key = *Job.Key;
@@ -184,91 +180,19 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
   }
 
   CompileResult Hit;
-  auto MemoHit = [&] {
-    if (!Cfg.MemoizeResults || !memoLookup(Key, Hit))
-      return false;
+  if (memoLookup(Key, Hit)) {
     MemoHits.fetch_add(1, std::memory_order_relaxed);
     ServiceMetrics::get().MemoHits.inc();
     SWP_TRACE_INSTANT("service.memoHit", {});
-    return true;
-  };
-  if (MemoHit())
     return Hit;
-
-  // Cancellable (tracker-armed) jobs bypass single-flight: a leader whose
-  // caller cancels it would publish an aborted result to followers who
-  // did not ask to cancel. They compile directly instead, and the result
-  // is shared through the memo only when the tracker never tripped.
-  if (Job.Tracker) {
-    CompileResult R = runCompile(Job, P);
-    if (Cfg.MemoizeResults && P && !Job.Tracker->expired())
-      memoInsert(Key, R);
-    return R;
   }
 
-  // Single flight per fingerprint: the first requester compiles, identical
-  // concurrent requests wait for it and copy the published result.
-  std::shared_ptr<Flight> F;
-  bool Leader = false;
-  {
-    std::lock_guard<std::mutex> Lock(FlightsMu);
-    auto It = Flights.find(Key);
-    if (It != Flights.end()) {
-      F = It->second;
-    } else {
-      // A leader publishes to the memo before it retires its flight, so a
-      // request that missed the memo above and finds no flight here may
-      // have raced a leader that just finished: look again before
-      // compiling the same program a second time.
-      if (MemoHit())
-        return Hit;
-      F = std::make_shared<Flight>();
-      Flights.emplace(Key, F);
-      Leader = true;
-    }
-  }
-
-  if (!Leader) {
-    Coalesced.fetch_add(1, std::memory_order_relaxed);
-    ServiceMetrics::get().Coalesced.inc();
-    SWP_TRACE_INSTANT("service.coalesced", {});
-    std::unique_lock<std::mutex> Lock(F->Mu);
-    F->Ready.wait(Lock, [&] { return F->Done; });
-    return F->Result;
-  }
-
-  // A failed factory is published to the followers but never memoized:
-  // the next request gets a fresh attempt.
+  // A failed factory (P still null) or a tripped tracker is never
+  // memoized: the next request gets a fresh attempt.
   CompileResult R = runCompile(Job, P);
-  if (Cfg.MemoizeResults && P)
+  if (P && !(Job.Tracker && Job.Tracker->expired()))
     memoInsert(Key, R);
-  {
-    std::lock_guard<std::mutex> Lock(FlightsMu);
-    Flights.erase(Key);
-  }
-  {
-    std::lock_guard<std::mutex> Lock(F->Mu);
-    F->Result = R;
-    F->Done = true;
-  }
-  F->Ready.notify_all();
   return R;
-}
-
-std::vector<CompileResult>
-CompileService::compileBatch(const std::vector<CompileJob> &Jobs) {
-  SWP_TRACE_SPAN(Span, "service.compileBatch");
-  std::vector<CompileResult> Results(Jobs.size());
-  if (Jobs.empty())
-    return Results;
-  ThreadPool &Pool = Cfg.Pool ? *Cfg.Pool : ThreadPool::global();
-  TaskGroup Group;
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    Pool.enqueue(Group, [this, &Jobs, &Results, I] {
-      Results[I] = compileOne(Jobs[I]);
-    });
-  Pool.wait(Group);
-  return Results;
 }
 
 ServiceStats CompileService::stats() const {
@@ -276,6 +200,5 @@ ServiceStats CompileService::stats() const {
   S.Requests = Requests.load(std::memory_order_relaxed);
   S.Compiles = Compiles.load(std::memory_order_relaxed);
   S.MemoHits = MemoHits.load(std::memory_order_relaxed);
-  S.Coalesced = Coalesced.load(std::memory_order_relaxed);
   return S;
 }

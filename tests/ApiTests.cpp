@@ -543,12 +543,10 @@ TEST(Session, OptionRejectionsAreTyped) {
 }
 
 TEST(Session, IncoherentConfigFailsEveryRequest) {
-  // An injected service plus MemoizeResults = false would silently ignore
-  // the memo setting; the session refuses instead.
-  CompileService Svc;
+  // Default options that fail CompilerOptions::validate() would fail every
+  // request that inherits them; the session refuses up front instead.
   SessionConfig Cfg;
-  Cfg.Service = &Svc;
-  Cfg.MemoizeResults = false;
+  Cfg.DefaultOpts.MaxUnroll = 0;
   EXPECT_NE(Cfg.validate(), "");
   Session Sess(Cfg);
   EXPECT_NE(Sess.configError(), "");

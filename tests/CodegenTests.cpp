@@ -104,12 +104,14 @@ void checkInvariants(const WorkloadSpec &Spec, const MachineDescription &MD,
       ++Halts;
     if (Inst.Ctrl.K == ControlOp::Kind::Jump ||
         Inst.Ctrl.K == ControlOp::Kind::JumpIfZero ||
-        Inst.Ctrl.K == ControlOp::Kind::DecJumpPos)
+        Inst.Ctrl.K == ControlOp::Kind::DecJumpPos) {
       EXPECT_LT(Inst.Ctrl.Target, CR.Code.Insts.size()) << Spec.Name;
+    }
     for (const MachOp &Op : Inst.Ops) {
-      if (Op.Def.isValid())
+      if (Op.Def.isValid()) {
         EXPECT_LT(Op.Def.Index, MD.registerFileSize(Op.Def.RC))
             << Spec.Name;
+      }
       for (const PhysReg &U : Op.Uses)
         EXPECT_LT(U.Index, MD.registerFileSize(U.RC)) << Spec.Name;
     }
@@ -247,9 +249,10 @@ TEST(Codegen, NoAliasDirectiveEnablesPipelining) {
     ProgramState Golden = interpret(P, In);
     ASSERT_EQ(compareStates(P, Golden, Sim.State), "");
     Cycles[Mode] = Sim.Cycles;
-    if (Mode == 1)
+    if (Mode == 1) {
       EXPECT_TRUE(CR.Report.Loops[0].pipelined())
           << "noalias should unlock pipelining";
+    }
   }
   EXPECT_LT(Cycles[1], Cycles[0]) << "directive must pay off";
 }

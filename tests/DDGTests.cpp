@@ -29,9 +29,9 @@ const DepEdge *findEdge(const DepGraph &G, unsigned Src, unsigned Dst,
   return nullptr;
 }
 
-/// Builds the dependence graph of the innermost loop body of \p P,
-/// assuming a single loop with a straight-line body.
-DepGraph graphOfSingleLoop(const Program &P, const ForStmt *Loop,
+/// Builds the dependence graph of \p Loop's body, assuming a single loop
+/// with a straight-line body.
+DepGraph graphOfSingleLoop(const Program &, const ForStmt *Loop,
                            const MachineDescription &MD,
                            std::set<unsigned> Expanded = {}) {
   DDGBuildOptions Opts;
@@ -233,10 +233,12 @@ TEST(DDGBuilder, ModuloVariableExpansionDropsAntiAndOutput) {
   EXPECT_TRUE(HasCarriedAntiOrOutput);
 
   DepGraph Expanded = graphOfSingleLoop(P, L, MD, {T.Id, Loaded.Id});
-  for (const DepEdge &E : Expanded.edges())
-    if (E.Omega > 0)
+  for (const DepEdge &E : Expanded.edges()) {
+    if (E.Omega > 0) {
       EXPECT_FALSE(E.Kind == DepKind::Anti || E.Kind == DepKind::Output)
           << "expanded register must not carry anti/output dependences";
+    }
+  }
 }
 
 TEST(DDGBuilder, QueueOrdering) {
@@ -278,10 +280,12 @@ TEST(SCC, CondensationIsTopological) {
   for (unsigned C = 0; C != SCCs.size(); ++C)
     for (unsigned N : SCCs[C])
       CompOf[N] = C;
-  for (const DepEdge &E : G.edges())
-    if (CompOf[E.Src] != CompOf[E.Dst])
+  for (const DepEdge &E : G.edges()) {
+    if (CompOf[E.Src] != CompOf[E.Dst]) {
       EXPECT_LT(CompOf[E.Src], CompOf[E.Dst])
           << "condensation edges must go forward";
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -381,8 +385,9 @@ TEST_P(ClosureProperty, MatchesNumericLongestPaths) {
     return false;
   };
   EXPECT_FALSE(HasPosCycle(Rec));
-  if (Rec > 1)
+  if (Rec > 1) {
     EXPECT_TRUE(HasPosCycle(Rec - 1));
+  }
 
   for (const auto &C : G.stronglyConnectedComponents()) {
     SCCClosure Cl(G, C, Rec);
@@ -422,13 +427,16 @@ TEST(Closure, PathSetInsertKeepsParetoMinimalSet) {
       Inserted.push_back(PP);
 
       const std::vector<PathPair> &Kept = Set.pairs();
-      for (size_t A = 0; A != Kept.size(); ++A)
-        for (size_t B = 0; B != Kept.size(); ++B)
-          if (A != B)
+      for (size_t A = 0; A != Kept.size(); ++A) {
+        for (size_t B = 0; B != Kept.size(); ++B) {
+          if (A != B) {
             EXPECT_FALSE(dominates(Kept[A], Kept[B], SMin))
                 << "seed " << Seed << ": (" << Kept[A].D << "," << Kept[A].P
                 << ") dominates (" << Kept[B].D << "," << Kept[B].P
                 << ") at SMin=" << SMin;
+          }
+        }
+      }
 
       for (int64_t S : {SMin, SMin + 1, SMin + 7, SMin + 1000}) {
         int64_t Want = std::numeric_limits<int64_t>::min();

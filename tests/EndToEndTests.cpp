@@ -692,7 +692,7 @@ TEST(W2CExitCodes, BudgetDegradedCompileIsFour) {
 
 // --metrics must emit a self-consistent snapshot: one latency sample per
 // session request, every service request resolved as exactly one memo
-// hit, coalesced wait, or compile, and the II-optimality-gap histogram
+// hit or compile, and the II-optimality-gap histogram
 // populated by the real searches. The global registry accumulates across
 // tests in this binary, so the assertions compare before/after deltas.
 TEST(W2CMetrics, SnapshotIsSelfConsistent) {
@@ -733,7 +733,6 @@ TEST(W2CMetrics, SnapshotIsSelfConsistent) {
   uint64_t ServiceRequests = CounterDelta("swp_service_requests_total");
   EXPECT_EQ(ServiceRequests, Requests);
   EXPECT_EQ(CounterDelta("swp_service_memo_hits_total") +
-                CounterDelta("swp_service_coalesced_total") +
                 CounterDelta("swp_service_compiles_total"),
             ServiceRequests);
   EXPECT_GT(HistDelta("swp_sched_ii_gap"), 0u);

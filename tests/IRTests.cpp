@@ -287,7 +287,8 @@ TEST(Expansion, LeavesNoPseudos) {
   B.endFor();
   expandLibraryOps(P);
   forEachStmt(P.Body, [&](const Stmt &S) {
-    if (const auto *Op = dyn_cast<OpStmt>(&S))
+    if (const auto *Op = dyn_cast<OpStmt>(&S)) {
       EXPECT_FALSE(isLibraryPseudo(Op->Op.Opc));
+    }
   });
 }

@@ -352,9 +352,10 @@ TEST_P(ParserRobustness, GarbageNeverCrashes) {
   }
   DiagnosticEngine DE;
   std::optional<W2Module> Mod = compileW2Source(Source, DE);
-  if (!Mod)
+  if (!Mod) {
     EXPECT_TRUE(DE.hasErrors()) << "rejection must come with diagnostics:\n"
                                 << Source;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserRobustness, ::testing::Range(0, 50));

@@ -117,8 +117,9 @@ TEST(Metrics, BucketMath) {
                      (1ull << 30) - 1, 1ull << 30, 1ull << 40}) {
     unsigned I = Histogram::bucketIndex(V);
     EXPECT_LE(V, Histogram::bucketUpperBound(I)) << V;
-    if (I > 0)
+    if (I > 0) {
       EXPECT_GT(V, Histogram::bucketUpperBound(I - 1)) << V;
+    }
   }
 }
 

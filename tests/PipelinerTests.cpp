@@ -21,7 +21,7 @@ using namespace swp;
 
 namespace {
 
-DepGraph loopGraph(const Program &P, const ForStmt *L,
+DepGraph loopGraph(const Program &, const ForStmt *L,
                    const MachineDescription &MD,
                    std::set<unsigned> Expanded = {}) {
   DDGBuildOptions Opts;
@@ -363,9 +363,11 @@ TEST(HierarchicalReduction, UnionReservationIsMaxOfBranches) {
   // Union reservation: the adder is used at most once per cycle even
   // though both branches use it (max, not sum).
   unsigned FAddRes = MD.opcodeInfo(Opcode::FAdd).Uses[0].ResId;
-  for (const ResourceUse &Use : IfUnit.reservation())
-    if (Use.ResId == FAddRes)
+  for (const ResourceUse &Use : IfUnit.reservation()) {
+    if (Use.ResId == FAddRes) {
       EXPECT_LE(Use.Units, 1u);
+    }
+  }
 
   // The reduced loop still pipelines.
   DDGBuildOptions Opts;

@@ -16,7 +16,7 @@ using namespace swp;
 
 namespace {
 
-DepGraph bodyGraph(const Program &P, const ForStmt *L,
+DepGraph bodyGraph(const Program &, const ForStmt *L,
                    const MachineDescription &MD) {
   DDGBuildOptions Opts;
   Opts.CurrentLoopId = L->LoopId;

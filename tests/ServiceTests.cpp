@@ -4,10 +4,10 @@
 //
 // The compile service's acceptance tests: the job-key fingerprints (the
 // exact program key sees ids but not names; every schedule-relevant
-// machine or option change repels the key, cosmetic ones do not),
-// single-flight dedup (including a leader whose program factory throws),
-// and the determinism contract — memoized, coalesced, and batched
-// compiles are bit-identical to bare compileProgram.
+// machine or option change repels the key, cosmetic ones do not), the
+// memo (hits, budget bypass, byte budget and eviction, a throwing program
+// factory never memoized), and the determinism contract — memoized and
+// concurrent compiles are bit-identical to bare compileProgram.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,12 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <future>
 #include <stdexcept>
-#include <thread>
 
 using namespace swp;
 
@@ -187,113 +183,37 @@ TEST(CompileService, MemoizesRepeatRequests) {
             vliwProgramToString(R1.Code, MD));
 }
 
-TEST(CompileService, SingleFlightCoalescesConcurrentDuplicates) {
+TEST(CompileService, ThrowingFactoryIsNeverMemoized) {
   MachineDescription MD = MachineDescription::warpCell();
-  CompilerOptions Opts;
-  ThreadPool Pool(8); // one worker per job: every request starts
-  CompileService::Config SC;
-  SC.Pool = &Pool;
-  SC.MemoizeResults = false; // leave only single-flight dedup
-  CompileService Service(SC);
-  std::vector<CompileJob> Jobs;
-  Fingerprint Key = CompileService::jobKey(*chainProgram(), MD, Opts);
-  for (int I = 0; I != 8; ++I) {
-    CompileJob J;
-    J.MD = &MD;
-    J.Opts = Opts;
-    // The leader's factory holds the flight open until the other seven
-    // requests have registered as waiters, so the coalescing outcome is
-    // exact, not a race. Keyed jobs never call Make on the waiter path.
-    J.Make = [&Service] {
-      auto Deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(60);
-      while (Service.stats().Coalesced < 7 &&
-             std::chrono::steady_clock::now() < Deadline)
-        std::this_thread::yield();
-      return chainProgram();
-    };
-    J.Key = Key; // all 8 enter the flight map under one key
-    Jobs.push_back(J);
-  }
-  std::vector<CompileResult> Results = Service.compileBatch(Jobs);
-  ASSERT_EQ(Results.size(), 8u);
-  std::string Expected = vliwProgramToString(Results[0].Code, MD);
-  for (const CompileResult &R : Results) {
-    ASSERT_TRUE(R.Ok);
-    EXPECT_EQ(vliwProgramToString(R.Code, MD), Expected);
-  }
-  ServiceStats SS = Service.stats();
-  EXPECT_EQ(SS.Requests, 8u);
-  EXPECT_EQ(SS.Compiles, 1u);
-  EXPECT_EQ(SS.Coalesced, 7u);
-}
-
-TEST(CompileService, ThrowingFactoryReleasesCoalescedRequests) {
-  // The batch runs on its own thread so that a request stranded on a
-  // dead flight fails the bounded wait below instead of hanging the
-  // suite. Everything it touches is shared with that thread, so a stuck
-  // batch leaks the state rather than leaving it dangling.
-  struct Batch {
-    MachineDescription MD = MachineDescription::warpCell();
-    ThreadPool Pool{2};
-    std::unique_ptr<CompileService> Service;
-    std::vector<CompileJob> Jobs;
-    std::atomic<unsigned> Calls{0};
-    std::promise<std::vector<CompileResult>> Done;
+  CompileService Service;
+  CompileJob J;
+  J.MD = &MD;
+  J.Key = CompileService::jobKey(*chainProgram(), MD, {});
+  unsigned Calls = 0;
+  J.Make = [&Calls]() -> std::unique_ptr<Program> {
+    ++Calls;
+    throw std::runtime_error("source unavailable");
   };
-  auto B = std::make_shared<Batch>();
-  CompileService::Config SC;
-  SC.Pool = &B->Pool;
-  B->Service = std::make_unique<CompileService>(SC);
-  Fingerprint Key = CompileService::jobKey(*chainProgram(), B->MD, {});
-  Batch *Bp = B.get();
-  for (int I = 0; I != 2; ++I) {
-    CompileJob J;
-    J.MD = &B->MD;
-    J.Key = Key; // Keyed: the follower never calls the factory.
-    // The leader's factory throws once the other request has coalesced
-    // onto its flight.
-    J.Make = [Bp]() -> std::unique_ptr<Program> {
-      ++Bp->Calls;
-      auto Deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (Bp->Service->stats().Coalesced < 1 &&
-             std::chrono::steady_clock::now() < Deadline)
-        std::this_thread::yield();
-      throw std::runtime_error("source unavailable");
-    };
-    B->Jobs.push_back(J);
-  }
-
-  std::future<std::vector<CompileResult>> Done = B->Done.get_future();
-  std::thread Runner(
-      [B] { B->Done.set_value(B->Service->compileBatch(B->Jobs)); });
-  if (Done.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
-    Runner.detach();
-    FAIL() << "a request coalesced onto a failed factory was never released";
-  }
-  Runner.join();
-  std::vector<CompileResult> Results = Done.get();
-  ASSERT_EQ(Results.size(), 2u);
-  for (const CompileResult &R : Results) {
+  // Each request reaches the factory: the failure was not memoized, so
+  // the repeat gets a fresh attempt instead of a stored error.
+  for (unsigned Attempt = 1; Attempt != 3; ++Attempt) {
+    CompileResult R = Service.compileOne(J);
     EXPECT_FALSE(R.Ok);
     EXPECT_NE(R.Error.find("program factory failed: source unavailable"),
               std::string::npos)
         << R.Error;
+    EXPECT_EQ(Calls, Attempt);
   }
-  ServiceStats SS = B->Service->stats();
-  EXPECT_EQ(SS.Coalesced, 1u);
+  ServiceStats SS = Service.stats();
+  EXPECT_EQ(SS.Requests, 2u);
   EXPECT_EQ(SS.Compiles, 0u);
-  EXPECT_EQ(B->Calls, 1u);
-
-  // The failure was not memoized: a repeat request tries the factory again.
-  CompileResult Again = B->Service->compileOne(B->Jobs[0]);
-  EXPECT_FALSE(Again.Ok);
-  EXPECT_EQ(B->Calls, 2u);
-  EXPECT_EQ(B->Service->stats().MemoHits, 0u);
+  EXPECT_EQ(SS.MemoHits, 0u);
 }
 
-TEST(CompileService, BatchBitIdenticalToSerialUncached) {
+// Concurrent requests, duplicates included, reproduce serial compiles
+// byte for byte. Two concurrent misses on one key may both compile, so
+// the compile count is bounded, not exact.
+TEST(CompileService, ConcurrentRequestsBitIdenticalToSerial) {
   MachineDescription MD = MachineDescription::warpCell();
   CompilerOptions Opts;
   const std::vector<WorkloadSpec> &Kernels = livermoreKernels();
@@ -313,14 +233,20 @@ TEST(CompileService, BatchBitIdenticalToSerialUncached) {
   for (unsigned Dup = 0; Dup != 3; ++Dup)
     for (size_t I = 0; I != N; ++I)
       Jobs.push_back(kernelJob(Kernels[I], MD, Opts));
-  std::vector<CompileResult> Results = Service.compileBatch(Jobs);
-  ASSERT_EQ(Results.size(), 3 * N);
+  std::vector<CompileResult> Results(Jobs.size());
+  ThreadPool Pool(4);
+  Pool.parallelFor(Jobs.size(), [&](size_t I) {
+    Results[I] = Service.compileOne(Jobs[I]);
+  });
   for (size_t I = 0; I != Results.size(); ++I) {
     ASSERT_TRUE(Results[I].Ok);
     EXPECT_EQ(vliwProgramToString(Results[I].Code, MD), Ref[I % N])
         << Kernels[I % N].Name;
   }
-  EXPECT_EQ(Service.stats().Compiles, N);
+  ServiceStats SS = Service.stats();
+  EXPECT_GE(SS.Compiles, N);
+  EXPECT_LE(SS.Compiles, 3 * N);
+  EXPECT_EQ(SS.MemoHits + SS.Compiles, 3 * N);
 }
 
 TEST(CompileService, BudgetedJobsBypassTheMemo) {
@@ -464,8 +390,7 @@ TEST(CompileService, ResponseOutlivesItsEvictedMemoEntry) {
 TEST(CompileService, StatsJsonKeysSorted) {
   CompileService Service;
   std::string J = Service.stats().toJson();
-  const char *KeysInOrder[] = {"coalesced", "compiles", "memo_hits",
-                               "requests"};
+  const char *KeysInOrder[] = {"compiles", "memo_hits", "requests"};
   size_t Last = 0;
   for (const char *K : KeysInOrder) {
     size_t At = J.find(std::string("\"") + K + "\"");

@@ -20,14 +20,6 @@ namespace {
 
 unsigned opsIn(const StmtList &List) { return countOps(List); }
 
-/// Finds the single top-level loop.
-ForStmt *onlyLoop(Program &P) {
-  for (StmtPtr &S : P.Body)
-    if (auto *For = dyn_cast<ForStmt>(S.get()))
-      return For;
-  return nullptr;
-}
-
 } // namespace
 
 TEST(LICM, HoistsConstantsAndInvariantArithmetic) {
