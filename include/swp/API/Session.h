@@ -12,9 +12,9 @@
 /// versioned — every response envelope carries "api_version" (see
 /// Version.h for the stability policy) — and everything underneath is
 /// the existing compiler stack: requests flow through a CompileService
-/// (a whole-result memo) into compileProgram, so a
-/// session's results are bit-identical to bare compileProgram calls
-/// (tests enforce the equivalence).
+/// (a whole-result memo) into compileProgram, so a session's results are
+/// bit-identical to bare compileProgram calls (tests enforce the
+/// equivalence).
 ///
 /// What the session adds over the free function:
 ///

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Stable 128-bit content fingerprints: the key ingredients of
-/// CompileService's whole-result memo (see CompileService::jobKey). A job key covers everything a CompileResult
-/// depends on and nothing else:
+/// CompileService's whole-result memo (see CompileService::jobKey). A job
+/// key covers everything a CompileResult depends on and nothing else:
 ///
 ///   - the program, exactly: statements in order plus raw vreg/array ids
 ///     and the full symbol tables (emitted code embeds ids, so only
