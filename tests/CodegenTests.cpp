@@ -12,6 +12,8 @@
 #include "swp/Sim/Simulator.h"
 #include "swp/Workloads/Workloads.h"
 
+#include "TripCountPrograms.h"
+
 #include <gtest/gtest.h>
 
 #include <set>
@@ -255,4 +257,54 @@ TEST(Codegen, NoAliasDirectiveEnablesPipelining) {
     }
   }
   EXPECT_LT(Cycles[1], Cycles[0]) << "directive must pay off";
+}
+
+// The trip-count dispatch writes what it emitted into the loop report.
+// scale-add modulo-schedules at II 2 with 9 stages and unroll 1, so it
+// needs 9 trips to fill the pipeline: 0 trips emit no loop code, 1 and 8
+// run the plain list schedule, and 9 run the prolog, one kernel pass and
+// the epilog. Each simulates to the interpreter's state.
+TEST(Codegen, TripCountDispatchReportsItsPath) {
+  MachineDescription MD = MachineDescription::warpCell();
+  for (int64_t N : {0, 1, 8, 9}) {
+    BuiltWorkload W = scaleAddSpec(N).Make();
+    CompileResult CR = compileProgram(*W.Prog, MD, CompilerOptions{});
+    ASSERT_TRUE(CR.Ok) << "n = " << N << ": " << CR.Error;
+    ASSERT_EQ(CR.Report.Loops.size(), 1u);
+    const LoopReport &L = CR.Report.Loops[0];
+    EXPECT_EQ(L.II, 2u) << "n = " << N;
+    EXPECT_EQ(L.Stages, 9u) << "n = " << N;
+    EXPECT_EQ(L.Unroll, 1u) << "n = " << N;
+    if (N == 0) {
+      EXPECT_EQ(L.Decision, PipelineDecision::Fallback);
+      EXPECT_EQ(L.Cause, FallbackCause::ZeroTrip);
+      EXPECT_EQ(L.Rung, ScheduleRung::None);
+      EXPECT_EQ(L.TotalLoopInsts, 0u);
+    } else if (N < 9) {
+      EXPECT_EQ(L.Decision, PipelineDecision::Fallback) << "n = " << N;
+      EXPECT_EQ(L.Cause, FallbackCause::ShortTripCount) << "n = " << N;
+      EXPECT_EQ(L.Rung, ScheduleRung::List) << "n = " << N;
+      EXPECT_EQ(L.KernelInsts, 0u) << "n = " << N;
+    } else {
+      EXPECT_EQ(L.Decision, PipelineDecision::Pipelined);
+      EXPECT_EQ(L.Cause, FallbackCause::None);
+      EXPECT_EQ(L.Rung, ScheduleRung::Modulo);
+      EXPECT_EQ(L.KernelInsts, 2u);
+      EXPECT_EQ(L.Region.KernelBase, L.Region.PrologBase + 16);
+      EXPECT_EQ(L.Region.EpilogBase, L.Region.KernelBase + 2);
+      EXPECT_EQ(L.Region.End, L.Region.EpilogBase + 16);
+      EXPECT_EQ(CR.Code.Insts[L.Region.EpilogBase - 1].Ctrl.K,
+                ControlOp::Kind::DecJumpPos);
+      EXPECT_EQ(CR.Code.Insts[L.Region.EpilogBase - 1].Ctrl.Target,
+                L.Region.KernelBase);
+    }
+    if (N != 0) {
+      EXPECT_GT(L.TotalLoopInsts, 0u) << "n = " << N;
+    }
+
+    SimResult Sim = simulate(CR.Code, *W.Prog, MD, W.Input);
+    ASSERT_TRUE(Sim.State.Ok) << "n = " << N << ": " << Sim.State.Error;
+    ProgramState Golden = interpret(*W.Prog, W.Input);
+    EXPECT_EQ(compareStates(*W.Prog, Golden, Sim.State), "") << "n = " << N;
+  }
 }

@@ -16,6 +16,7 @@
 #include "swp/Sim/Simulator.h"
 
 #include "DecodedCode.h"
+#include "TripCountPrograms.h"
 
 #include <gtest/gtest.h>
 
@@ -81,6 +82,26 @@ TEST(Differential, RegressionSeeds) {
   for (uint64_t Seed : {14698059684119201311ull}) {
     DiffOutcome O = runDifferential(randomLoopSpec(Seed), MD);
     EXPECT_TRUE(O.Ok) << "seed " << Seed << ": " << O.Error;
+  }
+}
+
+// The trip-count dispatch programs (TripCountPrograms.h) reach the code
+// shapes the shipped workloads rarely or never do: static zero and short
+// trips, the unrolled rung's empty kernel count, and an outer loop whose
+// runtime bound is 0 or 3. Each simulates to the interpreter's state on
+// the modulo path and on both forced ladder rungs.
+TEST(Differential, TripCountDispatchesBitIdentical) {
+  MachineDescription MD = MachineDescription::warpCell();
+  std::vector<WorkloadSpec> Specs = tripCountPrograms();
+  Specs.push_back(runtimeOuterSpec(0));
+  for (unsigned Rung : {0u, 1u, 2u}) {
+    CompilerOptions Opts;
+    Opts.MinLadderRung = Rung;
+    for (const WorkloadSpec &S : Specs) {
+      DiffOutcome O = runDifferential(S, MD, Opts);
+      EXPECT_TRUE(O.Ok) << S.Name << ", MinLadderRung " << Rung << ": "
+                        << O.Error;
+    }
   }
 }
 

@@ -28,6 +28,8 @@
 #include "swp/Sim/Simulator.h"
 #include "swp/Verify/Differential.h"
 
+#include "TripCountPrograms.h"
+
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -356,9 +358,11 @@ TEST(ReportSnapshot, LivermoreSimulation) {
 }
 
 // The emitted code, digested field by field: one row per Livermore kernel
-// and per user program under default options, and one row per option set
-// summed over randomLoopSpec(1..256). A compiler change that claims to
-// leave the output alone must pass this unchanged.
+// and per user program under default options, one row per trip-count
+// dispatch program (TripCountPrograms.h) under default options and each
+// forced ladder rung, and one row per option set summed over
+// randomLoopSpec(1..256). A compiler change that claims to leave the
+// output alone must pass this unchanged.
 TEST(ReportSnapshot, EmittedCode) {
   std::string Json = "[\n";
   for (const std::vector<WorkloadSpec> *Set :
@@ -385,6 +389,15 @@ TEST(ReportSnapshot, EmittedCode) {
   Sets[4].Opts.MVE = MVEPolicy::MinRegisters;
   Sets[5].Name = "no scalar optimizations";
   Sets[5].Opts.ScalarOptimizations = false;
+  // The shipped workloads never reach a static zero trip, the unrolled
+  // rung's empty kernel count or a runtime outer bound, and reach the
+  // static short trip rarely; these programs do.
+  for (size_t I : {0, 2, 3})
+    for (const WorkloadSpec &S : tripCountPrograms()) {
+      CodeRow Row;
+      Row.add(compileSpec(S, Sets[I].Opts));
+      Json += Row.json(S.Name + " " + Sets[I].Name) + ",\n";
+    }
   for (size_t I = 0; I != Sets.size(); ++I) {
     CodeRow Row;
     for (uint64_t Seed = 1; Seed <= 256; ++Seed)
