@@ -35,6 +35,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <new>
 #include <optional>
 #include <sstream>
@@ -89,6 +90,25 @@ static DepGraph unrollDepGraph(const DepGraph &G, unsigned U) {
   return UG;
 }
 
+/// One loop body laid out for emission (section 2.4 of the paper):
+/// Stages - 1 prolog windows, Windows kernel windows and Stages - 1 epilog
+/// windows of II rows each, the kernel closed by the backedge. A
+/// list-scheduled body is the one-stage, one-window case: its period
+/// covers the schedule's span.
+struct LoopPlan {
+  ScheduleRung Rung = ScheduleRung::List;
+  const DepGraph *G = nullptr;
+  const Schedule *Sched = nullptr;
+  unsigned II = 1;
+  unsigned Stages = 1;
+  unsigned Windows = 1;
+  /// Nonzero when G is a copy-major unrolled graph: node r*NodesPerCopy + i
+  /// is iteration offset r of original node i.
+  unsigned NodesPerCopy = 0;
+  /// Loop-variable advance per backedge, i.e. iterations per kernel pass.
+  unsigned Step = 1;
+};
+
 class CompilerImpl {
 public:
   CompilerImpl(Program &P, const MachineDescription &MD,
@@ -127,9 +147,11 @@ private:
   /// its latency so the next serial op can consume the result.
   void emitSerial(MachOp Op, unsigned Latency);
 
-  PhysReg scratchInt();
-  PhysReg emitIConst(int64_t V);
-  PhysReg emitIBin(Opcode Opc, PhysReg A, PhysReg B);
+  /// Emits \p Opc over \p Uses, with immediate \p Imm, serially into a
+  /// fresh scratch integer register.
+  PhysReg emitIOp(Opcode Opc, std::initializer_list<PhysReg> Uses,
+                  int64_t Imm = 0);
+  PhysReg emitIConst(int64_t V) { return emitIOp(Opcode::IConst, {}, V); }
 
   /// Appends a control-only instruction; returns its index for patching.
   size_t emitCtrl(ControlOp::Kind K, PhysReg Counter = {});
@@ -157,14 +179,6 @@ private:
       }
     OpCount.clear();
   }
-  /// reserveOps for every member op of \p G placed by \p Sched from
-  /// \p Base.
-  void reserveOps(const DepGraph &G, const Schedule &Sched, size_t Base) {
-    for (unsigned I = 0; I != G.numNodes(); ++I)
-      for (const UnitOp &UO : G.unit(I).ops())
-        countOp(Sched.startOf(I) + UO.Offset);
-    reserveOps(Base);
-  }
   void padDrain() { Cursor = std::max(Cursor, Frontier) + Pad; }
 
   //===--- Region emission --------------------------------------------------===
@@ -174,31 +188,41 @@ private:
   void emitLoop(ForStmt &For);
   void emitOuterLoop(ForStmt &For);
 
-  /// Emits the body once per backedge with period \p Period; the caller
-  /// set up the counter, loop variable, and guards. Returns the index of
-  /// the first loop instruction. A nonzero \p NodesPerCopy marks \p G as a
-  /// copy-major unrolled graph: node r*NodesPerCopy + i is iteration
-  /// offset r of original node i, so its operations fold r into register
-  /// rotation and subscripts; \p AguStep is the loop-variable advance per
-  /// backedge (the unroll degree).
-  size_t emitUnpipelinedRun(const DepGraph &G, const Schedule &Sched,
-                            int Period, unsigned LoopId, PhysReg Counter,
-                            unsigned NodesPerCopy = 0, unsigned AguStep = 1);
+  /// Emits \p Plan's windows for loop \p LoopId, the kernel closed by a
+  /// backedge on \p Counter that advances the loop variable by the plan's
+  /// step; the caller set up the counter, the loop variable and any guard.
+  /// Returns the index of the kernel's first instruction.
+  size_t emitRun(const LoopPlan &Plan, unsigned LoopId, PhysReg Counter);
 
-  /// Modulo-schedules and emits the loop. \p LocalSched and
-  /// \p UnpipelinedPeriod are the plain graph's list schedule and period,
-  /// which the remainder and short-trip-count versions reuse.
-  bool tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
-                        const Schedule &LocalSched, int UnpipelinedPeriod,
+  /// Emits `if (0 < X) Body()`: a compare and a JumpIfZero past the body.
+  /// A body returns false when the compile failed inside it, leaving the
+  /// jump unpatched. Returns what the body returned.
+  template <typename Fn>
+  bool emitIfPositive(PhysReg Zero, PhysReg X, Fn &&Body);
+
+  /// Emits \p For's trip counter, then the loop-variable init and
+  /// \p Body(Counter): a constant counter for a static trip count, else n
+  /// and a zero, with 0 < n guarding the init and the body. Returns what
+  /// the body returned.
+  template <typename Fn> bool emitCountedRun(const ForStmt &For, Fn &&Body);
+
+  /// Emits a planned loop: the preheader and the trip-count dispatch of
+  /// \p Plan's rung, with \p Plain running any remainder, short-trip or
+  /// unpipelined version. Fills in \p Report and pads the drain.
+  void emitPlannedLoop(const ForStmt &For, const LoopPlan &Plan,
+                       const LoopPlan &Plain, LoopReport &Report);
+
+  /// Modulo-schedules and emits the loop. \p Plain is the plain graph's
+  /// list schedule, which the remainder and short-trip versions run.
+  bool tryEmitPipelined(ForStmt &For, const LoopPlan &Plain,
                         LoopReport &Report);
 
   /// Emits the loop's code on one rung of the degradation ladder (List,
   /// UnrolledList, or Sequential). Returns false — without emitting
   /// anything — when the register files cannot hold the rung's locals;
   /// the caller rolls back the scope and tries the next rung down.
-  bool emitLadderRung(ForStmt &For, const DepGraph &PlainG,
-                      const Schedule &LocalSched, int PlainPeriod,
-                      ScheduleRung Rung, LoopReport &Report);
+  bool emitLadderRung(ForStmt &For, const LoopPlan &Plain, ScheduleRung Rung,
+                      LoopReport &Report);
 
   /// Emits preheader operations (serially) for a prepared loop.
   void emitPreheader(const ForStmt &For);
@@ -249,6 +273,13 @@ private:
   std::vector<unsigned> Cells;   ///< One arc's occupied period cells.
   std::vector<uint8_t> PoolBusy; ///< Pools x period occupancy, row-major.
   std::vector<unsigned> OpCount; ///< Ops per instruction of one region.
+  /// One run's member ops, each with its stage, row within the stage and
+  /// iteration offset within an unrolled graph's copies (see emitRun).
+  struct FlatOp {
+    const UnitOp *UO;
+    unsigned Stage, Row, Copy;
+  };
+  std::vector<FlatOp> Flat;
   /// Live charge against CompilerOptions::Budget (engaged only when some
   /// ceiling is configured; the scheduler sees it via Sched.Budget).
   std::optional<BudgetTracker> BudgetStore;
@@ -441,33 +472,19 @@ void CompilerImpl::emitSerial(MachOp Op, unsigned Latency) {
   Frontier = std::max(Frontier, Cursor);
 }
 
-PhysReg CompilerImpl::scratchInt() {
+PhysReg CompilerImpl::emitIOp(Opcode Opc, std::initializer_list<PhysReg> Uses,
+                              int64_t Imm) {
   std::optional<PhysReg> R = RA.allocateScratch(RegClass::Int);
-  if (!R) {
+  if (!R)
     fail("integer register file overflow in loop setup code");
-    return PhysReg{RegClass::Int, 0};
-  }
-  return *R;
-}
-
-PhysReg CompilerImpl::emitIConst(int64_t V) {
-  PhysReg R = scratchInt();
-  MachOp M;
-  M.Opc = Opcode::IConst;
-  M.Def = R;
-  M.IImm = V;
-  emitSerial(std::move(M), MD.opcodeInfo(Opcode::IConst).Latency);
-  return R;
-}
-
-PhysReg CompilerImpl::emitIBin(Opcode Opc, PhysReg A, PhysReg B) {
-  PhysReg R = scratchInt();
   MachOp M;
   M.Opc = Opc;
-  M.Def = R;
-  M.Uses = {A, B};
+  M.Def = R.value_or(PhysReg{RegClass::Int, 0});
+  M.Uses = Uses;
+  M.IImm = Imm;
+  PhysReg Def = M.Def;
   emitSerial(std::move(M), MD.opcodeInfo(Opc).Latency);
-  return R;
+  return Def;
 }
 
 size_t CompilerImpl::emitCtrl(ControlOp::Kind K, PhysReg Counter) {
@@ -521,7 +538,10 @@ void CompilerImpl::emitSegment(const std::vector<const Stmt *> &Stmts) {
   Schedule Sched = listSchedule(G, MD);
 
   size_t Base = Cursor;
-  reserveOps(G, Sched, Base);
+  for (unsigned I = 0; I != G.numNodes(); ++I)
+    for (const UnitOp &UO : G.unit(I).ops())
+      countOp(Sched.startOf(I) + UO.Offset);
+  reserveOps(Base);
   for (unsigned I = 0; I != G.numNodes(); ++I)
     for (const UnitOp &UO : G.unit(I).ops()) {
       instAt(Base + Sched.startOf(I) + UO.Offset)
@@ -552,9 +572,9 @@ PhysReg CompilerImpl::emitTripCount(const ForStmt &For) {
     LoMinus1 = emitIConst(For.Lo.Imm - 1);
   } else {
     PhysReg One = emitIConst(1);
-    LoMinus1 = emitIBin(Opcode::ISub, RA.regFor(For.Lo.Reg.Id), One);
+    LoMinus1 = emitIOp(Opcode::ISub, {RA.regFor(For.Lo.Reg.Id), One});
   }
-  return emitIBin(Opcode::ISub, Hi, LoMinus1);
+  return emitIOp(Opcode::ISub, {Hi, LoMinus1});
 }
 
 void CompilerImpl::emitLoopVarInit(const ForStmt &For) {
@@ -568,29 +588,83 @@ void CompilerImpl::emitLoopVarInit(const ForStmt &For) {
   Frontier = std::max(Frontier, Cursor);
 }
 
-size_t CompilerImpl::emitUnpipelinedRun(const DepGraph &G,
-                                        const Schedule &Sched, int Period,
-                                        unsigned LoopId, PhysReg Counter,
-                                        unsigned NodesPerCopy,
-                                        unsigned AguStep) {
-  size_t Base = Cursor;
-  reserveOps(G, Sched, Base);
-  for (unsigned I = 0; I != G.numNodes(); ++I) {
-    int64_t K = NodesPerCopy ? I / NodesPerCopy : 0;
-    for (const UnitOp &UO : G.unit(I).ops())
-      instAt(Base + Sched.startOf(I) + UO.Offset)
-          .Ops.push_back(lowerOp(UO.Op, K, LoopId, UO.Preds));
+size_t CompilerImpl::emitRun(const LoopPlan &Plan, unsigned LoopId,
+                             PhysReg Counter) {
+  const unsigned S = Plan.II, M = Plan.Stages, U = Plan.Windows;
+  Flat.clear();
+  for (unsigned I = 0; I != Plan.G->numNodes(); ++I) {
+    unsigned Copy = Plan.NodesPerCopy ? I / Plan.NodesPerCopy : 0;
+    for (const UnitOp &UO : Plan.G->unit(I).ops()) {
+      int64_t Abs = Plan.Sched->startOf(I) + UO.Offset;
+      assert(Abs >= 0 && "schedule times are normalized to be nonnegative");
+      // A list-scheduled plan has one stage: its period covers the span.
+      assert(Abs / S < M && "operation issues past the plan's last stage");
+      Flat.push_back({&UO, static_cast<unsigned>(Abs / S),
+                      static_cast<unsigned>(Abs % S), Copy});
+    }
   }
-  size_t Last = Base + Period - 1;
-  VLIWInst &Tail = instAt(Last);
-  assert(Tail.Ctrl.K == ControlOp::Kind::None && "control slot collision");
-  Tail.Ctrl.K = ControlOp::Kind::DecJumpPos;
-  Tail.Ctrl.Counter = Counter;
-  Tail.Ctrl.Target = static_cast<unsigned>(Base);
-  Tail.Agu.push_back(AguOp{LoopId, /*Relative=*/true, PhysReg{}, AguStep});
-  Cursor = Last + 1;
+
+  // Visits every op instance of the run in emission order, with its
+  // instruction offset from the run's base and its iteration offset K:
+  // prolog windows 0..M-2 (filling stages), U kernel windows, then epilog
+  // windows 0..M-2 (draining stages).
+  auto ForEachInstance = [&](auto &&Fn) {
+    for (unsigned W = 0; W + 1 < M; ++W)
+      for (const FlatOp &F : Flat)
+        if (F.Stage <= W)
+          Fn(static_cast<size_t>(W) * S + F.Row, F,
+             static_cast<int64_t>(W) - F.Stage);
+    for (unsigned R = 0; R != U; ++R)
+      for (const FlatOp &F : Flat)
+        Fn(static_cast<size_t>(M - 1 + R) * S + F.Row, F,
+           static_cast<int64_t>(M - 1) + R - F.Stage);
+    for (unsigned E = 0; E + 1 < M; ++E)
+      for (const FlatOp &F : Flat)
+        if (F.Stage >= E + 1)
+          Fn(static_cast<size_t>(M - 1 + U + E) * S + F.Row, F,
+             static_cast<int64_t>(M - 1) + E - F.Stage);
+  };
+  size_t Base = Cursor;
+  ForEachInstance(
+      [&](size_t Offset, const FlatOp &, int64_t) { countOp(Offset); });
+  reserveOps(Base);
+  ForEachInstance([&](size_t Offset, const FlatOp &F, int64_t K) {
+    instAt(Base + Offset)
+        .Ops.push_back(lowerOp(F.UO->Op, K + F.Copy, LoopId, F.UO->Preds));
+  });
+
+  size_t KernelBase = Base + static_cast<size_t>(M - 1) * S;
+  size_t EpilogBase = KernelBase + static_cast<size_t>(U) * S;
+  VLIWInst &Back = instAt(EpilogBase - 1);
+  assert(Back.Ctrl.K == ControlOp::Kind::None && "control slot collision");
+  Back.Ctrl = {ControlOp::Kind::DecJumpPos, static_cast<unsigned>(KernelBase),
+               Counter};
+  Back.Agu.push_back(AguOp{LoopId, /*Relative=*/true, PhysReg{}, Plan.Step});
+  Cursor = EpilogBase + static_cast<size_t>(M - 1) * S;
   Frontier = std::max(Frontier, Cursor);
-  return Base;
+  return KernelBase;
+}
+
+template <typename Fn>
+bool CompilerImpl::emitIfPositive(PhysReg Zero, PhysReg X, Fn &&Body) {
+  size_t Skip = emitCtrl(ControlOp::Kind::JumpIfZero,
+                         emitIOp(Opcode::ICmpLT, {Zero, X}));
+  if (!Body())
+    return false;
+  patchTarget(Skip, Cursor);
+  return true;
+}
+
+template <typename Fn>
+bool CompilerImpl::emitCountedRun(const ForStmt &For, Fn &&Body) {
+  auto Run = [&](PhysReg Counter) {
+    emitLoopVarInit(For);
+    return Body(Counter);
+  };
+  if (std::optional<int64_t> StaticN = For.staticTripCount())
+    return Run(emitIConst(*StaticN));
+  PhysReg N = emitTripCount(For);
+  return emitIfPositive(emitIConst(0), N, [&] { return Run(N); });
 }
 
 bool CompilerImpl::allocateUnpipelinedLocals(const ForStmt &For,
@@ -691,40 +765,26 @@ bool CompilerImpl::allocateUnpipelinedLocals(const ForStmt &For,
 void CompilerImpl::emitOuterLoop(ForStmt &For) {
   RA.beginScope();
   emitPreheader(For);
-
   std::optional<int64_t> StaticN = For.staticTripCount();
   if (StaticN && *StaticN <= 0) {
     RA.endScope();
     return;
   }
-
-  PhysReg Counter;
-  size_t GuardInst = SIZE_MAX;
-  if (StaticN) {
-    Counter = emitIConst(*StaticN);
-  } else {
-    PhysReg N = emitTripCount(For);
-    PhysReg Zero = emitIConst(0);
-    PhysReg Pos = emitIBin(Opcode::ICmpLT, Zero, N);
-    GuardInst = emitCtrl(ControlOp::Kind::JumpIfZero, Pos);
-    Counter = N;
-  }
-
-  emitLoopVarInit(For);
-  size_t LoopStart = Cursor;
-  emitStmtList(For.Body);
-  if (Failed) {
-    RA.endScope();
-    return;
-  }
-  // Backedge instruction: decrement, advance the loop variable, loop.
-  size_t Back = emitCtrl(ControlOp::Kind::DecJumpPos, Counter);
-  patchTarget(Back, LoopStart);
-  emitAgu(Back, AguOp{For.LoopId, /*Relative=*/true, PhysReg{}, 1});
-
-  if (GuardInst != SIZE_MAX)
-    patchTarget(GuardInst, Cursor);
-  padDrain();
+  // A body that fails returns before its backedge, leaving the guard
+  // unpatched and the drain unpadded.
+  bool Emitted = emitCountedRun(For, [&](PhysReg Counter) {
+    size_t LoopStart = Cursor;
+    emitStmtList(For.Body);
+    if (Failed)
+      return false;
+    // Backedge instruction: decrement, advance the loop variable, loop.
+    size_t Back = emitCtrl(ControlOp::Kind::DecJumpPos, Counter);
+    patchTarget(Back, LoopStart);
+    emitAgu(Back, AguOp{For.LoopId, /*Relative=*/true, PhysReg{}, 1});
+    return true;
+  });
+  if (Emitted)
+    padDrain();
   RA.endScope();
 }
 
@@ -775,6 +835,10 @@ void CompilerImpl::emitLoop(ForStmt &For) {
   int Period = std::max(unpipelinedPeriod(PlainG, LocalSched),
                         LocalSched.spanLength(PlainG));
   Report.UnpipelinedLen = Period;
+  // The List rung's plan; the other rungs run it for remainders and short
+  // trip counts.
+  const LoopPlan Plain{.G = &PlainG, .Sched = &LocalSched,
+                       .II = static_cast<unsigned>(Period)};
   SCCList Comps = PlainG.sccs();
   for (unsigned C = 0; C != Comps.size(); ++C)
     if (Comps[C].size() > 1)
@@ -801,7 +865,7 @@ void CompilerImpl::emitLoop(ForStmt &For) {
   } else {
     // tryEmitPipelined refines Decision/Cause to Pipelined, Fallback, or
     // Degraded (the compile budget tripped mid-search).
-    Pipelined = tryEmitPipelined(For, PlainG, LocalSched, Period, Report);
+    Pipelined = tryEmitPipelined(For, Plain, Report);
     if (!Pipelined) {
       // Roll back any local register assignments the attempt made.
       RA.endScope();
@@ -833,8 +897,7 @@ void CompilerImpl::emitLoop(ForStmt &For) {
         if (Report.Cause == FallbackCause::None)
           Report.Cause = FallbackCause::RegisterPressure;
       }
-      if (emitLadderRung(For, PlainG, LocalSched, Period, Ladder[RI],
-                         Report)) {
+      if (emitLadderRung(For, Plain, Ladder[RI], Report)) {
         Emitted = true;
         break;
       }
@@ -850,10 +913,8 @@ void CompilerImpl::emitLoop(ForStmt &For) {
   Result.Report.Loops.push_back(Report);
 }
 
-bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
-                                  const Schedule &LocalSched,
-                                  int PlainPeriod, ScheduleRung Rung,
-                                  LoopReport &Report) {
+bool CompilerImpl::emitLadderRung(ForStmt &For, const LoopPlan &Plain,
+                                  ScheduleRung Rung, LoopReport &Report) {
   // Resolve the rung's graph, schedule, and period. List reuses the
   // locally compacted schedule; UnrolledList list-schedules two manually
   // folded copies of the body together (cross-iteration overlap without
@@ -862,9 +923,10 @@ bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
   const unsigned U = Rung == ScheduleRung::UnrolledList ? 2u : 1u;
   std::optional<DepGraph> UnrolledG;
   std::optional<Schedule> OwnSched;
-  const DepGraph *G = &PlainG;
-  const Schedule *Sched = &LocalSched;
-  int Period = PlainPeriod;
+  const DepGraph &PlainG = *Plain.G;
+  const DepGraph *G = Plain.G;
+  const Schedule *Sched = Plain.Sched;
+  int Period = static_cast<int>(Plain.II);
   if (Rung == ScheduleRung::UnrolledList) {
     UnrolledG.emplace(unrollDepGraph(PlainG, U));
     OwnSched.emplace(listSchedule(*UnrolledG, MD));
@@ -943,70 +1005,15 @@ bool CompilerImpl::emitLadderRung(ForStmt &For, const DepGraph &PlainG,
   Report.Rung = Rung;
   if (Rung == ScheduleRung::UnrolledList)
     Report.Unroll = U;
-
-  emitPreheader(For);
-  std::optional<int64_t> StaticN = For.staticTripCount();
-  size_t LoopInstsBegin = Cursor;
-
-  if (!(StaticN && *StaticN <= 0)) {
-    if (U == 1) {
-      PhysReg Counter;
-      size_t GuardInst = SIZE_MAX;
-      if (StaticN) {
-        Counter = emitIConst(*StaticN);
-      } else {
-        PhysReg N = emitTripCount(For);
-        PhysReg Zero = emitIConst(0);
-        PhysReg Pos = emitIBin(Opcode::ICmpLT, Zero, N);
-        GuardInst = emitCtrl(ControlOp::Kind::JumpIfZero, Pos);
-        Counter = N;
-      }
-      emitLoopVarInit(For);
-      emitUnpipelinedRun(*G, *Sched, AllocPeriod, For.LoopId, Counter);
-      if (GuardInst != SIZE_MAX)
-        patchTarget(GuardInst, Cursor);
-    } else if (StaticN) {
-      // n = U*k + rem: rem plain iterations, then k unrolled runs. The
-      // remainder runs first so the unrolled body's backedge can advance
-      // the loop variable by a constant U every time.
-      int64_t N = *StaticN;
-      int64_t Rem = N % U;
-      int64_t Kp = N / U;
-      emitLoopVarInit(For);
-      if (Rem > 0)
-        emitUnpipelinedRun(PlainG, LocalSched, PlainPeriod, For.LoopId,
-                           emitIConst(Rem));
-      if (Kp > 0)
-        emitUnpipelinedRun(*G, *Sched, AllocPeriod, For.LoopId,
-                           emitIConst(Kp), PlainG.numNodes(), U);
-    } else {
-      // Runtime trip count: both counts guarded (n <= 0 runs nothing —
-      // truncating div/mod keep both nonpositive then).
-      PhysReg N = emitTripCount(For);
-      PhysReg UC = emitIConst(U);
-      PhysReg Rem = emitIBin(Opcode::IMod, N, UC);
-      PhysReg Kp = emitIBin(Opcode::IDiv, N, UC);
-      emitLoopVarInit(For);
-      PhysReg Zero = emitIConst(0);
-      PhysReg PosRem = emitIBin(Opcode::ICmpLT, Zero, Rem);
-      size_t SkipRem = emitCtrl(ControlOp::Kind::JumpIfZero, PosRem);
-      emitUnpipelinedRun(PlainG, LocalSched, PlainPeriod, For.LoopId, Rem);
-      patchTarget(SkipRem, Cursor);
-      PhysReg PosKp = emitIBin(Opcode::ICmpLT, Zero, Kp);
-      size_t SkipMain = emitCtrl(ControlOp::Kind::JumpIfZero, PosKp);
-      emitUnpipelinedRun(*G, *Sched, AllocPeriod, For.LoopId, Kp,
-                         PlainG.numNodes(), U);
-      patchTarget(SkipMain, Cursor);
-    }
-  }
-  Report.TotalLoopInsts = static_cast<unsigned>(Cursor - LoopInstsBegin);
-  padDrain();
+  emitPlannedLoop(For,
+                  {.Rung = Rung, .G = G, .Sched = Sched,
+                   .II = static_cast<unsigned>(AllocPeriod),
+                   .NodesPerCopy = U == 1 ? 0 : PlainG.numNodes(), .Step = U},
+                  Plain, Report);
   return true;
 }
 
-bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
-                                    const Schedule &LocalSched,
-                                    int UnpipelinedPeriod,
+bool CompilerImpl::tryEmitPipelined(ForStmt &For, const LoopPlan &Plain,
                                     LoopReport &Report) {
   // Chaos: allocation failure entering the pipeline attempt. Propagates
   // to compileProgram, which turns it into a structured compile failure.
@@ -1014,7 +1021,7 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
     throw std::bad_alloc();
 
   // Eligibility for modulo variable expansion.
-  const std::vector<ScheduleUnit> &Units = *PlainG.sharedUnits();
+  const std::vector<ScheduleUnit> &Units = *Plain.G->sharedUnits();
   Eligible.assign(P.numVRegs(), 0);
   if (Opts.MVE != MVEPolicy::Disabled) {
     liveOutRegs(P, For, LiveOut);
@@ -1030,11 +1037,11 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
   BOpts.CurrentLoopId = For.LoopId;
   BOpts.ExpandedMask = Eligible;
   BOpts.NoAliasMask = NoAlias;
-  DepGraph G = buildLoopDepGraph(PlainG.sharedUnits(), MD, BOpts);
+  DepGraph G = buildLoopDepGraph(Plain.G->sharedUnits(), MD, BOpts);
 
   ModuloScheduleOptions SOpts = Opts.Sched;
   if (SOpts.MaxII == 0)
-    SOpts.MaxII = static_cast<unsigned>(UnpipelinedPeriod);
+    SOpts.MaxII = Plain.II;
   if (Budget)
     SOpts.Budget = Budget;
   ModuloScheduleResult MS = moduloSchedule(G, MD, SOpts);
@@ -1055,8 +1062,7 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
     Report.Cause = FallbackCause::BudgetExhausted;
     return false;
   }
-  if (static_cast<double>(MS.MII) >=
-      Opts.EfficiencyThreshold * UnpipelinedPeriod) {
+  if (static_cast<double>(MS.MII) >= Opts.EfficiencyThreshold * Plain.II) {
     Report.Cause = FallbackCause::EfficiencyThreshold;
     return false;
   }
@@ -1064,7 +1070,7 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
     Report.Cause = FallbackCause::NoSchedule;
     return false;
   }
-  if (MS.II >= static_cast<unsigned>(UnpipelinedPeriod)) {
+  if (MS.II >= Plain.II) {
     Report.Cause = FallbackCause::IINotBetter;
     return false;
   }
@@ -1107,22 +1113,10 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
   }
 
   unsigned S = MS.II;
-  // Flatten (unit, member-op) pairs to stages and rows.
-  struct FlatOp {
-    const UnitOp *UO;
-    unsigned Stage;
-    unsigned Row;
-  };
-  std::vector<FlatOp> Flat;
   int64_t MaxIssue = 0;
   for (unsigned I = 0; I != G.numNodes(); ++I)
-    for (const UnitOp &UO : G.unit(I).ops()) {
-      int64_t Abs = MS.Sched.startOf(I) + UO.Offset;
-      assert(Abs >= 0 && "schedule times are normalized to be nonnegative");
-      Flat.push_back({&UO, static_cast<unsigned>(Abs / S),
-                      static_cast<unsigned>(Abs % S)});
-      MaxIssue = std::max(MaxIssue, Abs);
-    }
+    for (const UnitOp &UO : G.unit(I).ops())
+      MaxIssue = std::max<int64_t>(MaxIssue, MS.Sched.startOf(I) + UO.Offset);
   unsigned M = static_cast<unsigned>(MaxIssue / S) + 1; // Stage count.
   unsigned U = Plan.Unroll;
   Report.Decision = PipelineDecision::Pipelined;
@@ -1145,167 +1139,132 @@ bool CompilerImpl::tryEmitPipelined(ForStmt &For, const DepGraph &PlainG,
     Report.ExplainText = ExplainOS.str();
   }
 
-  std::optional<int64_t> StaticN = For.staticTripCount();
-  int64_t Threshold = static_cast<int64_t>(M - 1) + U;
+  emitPlannedLoop(For,
+                  {.Rung = ScheduleRung::Modulo, .G = &G, .Sched = &MS.Sched,
+                   .II = S, .Stages = M, .Windows = U, .Step = U},
+                  Plain, Report);
+  return true;
+}
 
+void CompilerImpl::emitPlannedLoop(const ForStmt &For, const LoopPlan &Plan,
+                                   const LoopPlan &Plain,
+                                   LoopReport &Report) {
   emitPreheader(For);
+  std::optional<int64_t> StaticN = For.staticTripCount();
   size_t LoopInstsBegin = Cursor;
+  // Iterations before the first kernel pass, and per kernel pass.
+  const int64_t Fill = Plan.Stages - 1;
+  const unsigned U = Plan.Step;
 
-  // Visits every op instance of the region in emission order, with its
-  // instruction offset from the region base and its iteration offset K:
-  // prolog windows 0..M-2 (filling stages), U unrolled kernel windows,
-  // then epilog windows 0..M-2 (draining stages).
-  auto ForEachInstance = [&](auto &&Fn) {
-    for (unsigned W = 0; W + 1 < M; ++W)
-      for (const FlatOp &F : Flat)
-        if (F.Stage <= W)
-          Fn(static_cast<size_t>(W) * S + F.Row, F,
-             static_cast<int64_t>(W) - F.Stage);
-    for (unsigned R = 0; R != U; ++R)
-      for (const FlatOp &F : Flat)
-        Fn(static_cast<size_t>(M - 1 + R) * S + F.Row, F,
-           static_cast<int64_t>(M - 1) + R - F.Stage);
-    for (unsigned E = 0; E + 1 < M; ++E)
-      for (const FlatOp &F : Flat)
-        if (F.Stage >= E + 1)
-          Fn(static_cast<size_t>(M - 1 + U + E) * S + F.Row, F,
-             static_cast<int64_t>(M - 1) + E - F.Stage);
+  // A run cannot fail, so a guard around it is always patched.
+  auto Run = [&](const LoopPlan &Pl, PhysReg Counter) {
+    emitRun(Pl, For.LoopId, Counter);
+    return true;
   };
-
-  auto EmitPipelinedBody = [&](PhysReg KernelCounter) {
+  // The plan's own run. A modulo kernel also records its region and,
+  // under ParanoidVerify, is checked against its schedule.
+  auto Kernel = [&](PhysReg Counter) {
     size_t Base = Cursor;
-    ForEachInstance(
-        [&](size_t Offset, const FlatOp &, int64_t) { countOp(Offset); });
-    reserveOps(Base);
-    ForEachInstance([&](size_t Offset, const FlatOp &F, int64_t K) {
-      instAt(Base + Offset)
-          .Ops.push_back(lowerOp(F.UO->Op, K, For.LoopId, F.UO->Preds));
-    });
-    size_t KernelBase = Base + static_cast<size_t>(M - 1) * S;
-    size_t KernelLast = KernelBase + static_cast<size_t>(U) * S - 1;
-    VLIWInst &Back = instAt(KernelLast);
-    assert(Back.Ctrl.K == ControlOp::Kind::None && "control slot collision");
-    Back.Ctrl.K = ControlOp::Kind::DecJumpPos;
-    Back.Ctrl.Counter = KernelCounter;
-    Back.Ctrl.Target = static_cast<unsigned>(KernelBase);
-    Back.Agu.push_back(
-        AguOp{For.LoopId, /*Relative=*/true, PhysReg{}, U});
-    Report.KernelInsts = static_cast<unsigned>(U) * S;
-    size_t EpilogBase = KernelLast + 1;
-    Cursor = EpilogBase + static_cast<size_t>(M - 1) * S;
-    // The epilog may be empty (M == 1); keep the cursor past the kernel.
-    Cursor = std::max(Cursor, KernelLast + 1);
-    Frontier = std::max(Frontier, Cursor);
+    size_t KernelBase = emitRun(Plan, For.LoopId, Counter);
+    if (Plan.Rung != ScheduleRung::Modulo)
+      return true;
+    Report.KernelInsts = Plan.Windows * Plan.II;
+    size_t EpilogBase = KernelBase + Report.KernelInsts;
     Report.Region = {Base, KernelBase, EpilogBase, Cursor};
-
-    if (Opts.ParanoidVerify) {
-      // The region is fully emitted; re-derive its structure from the
-      // schedule and compare against the instructions actually in Code.
-      // Trailing epilog rows with no operations are created lazily, so
-      // materialize the whole region before handing it to the verifier.
-      if (Cursor > 0)
-        (void)instAt(Cursor - 1);
-      // Chaos: corrupt the emitted kernel (duplicate its first operation)
-      // so the emission check below must catch it — the code is already
-      // committed, so this one is a structured compile failure, not a
-      // recoverable fallback.
-      if (faults::shouldFire(faults::Site::CorruptEmission)) {
-        for (size_t I = KernelBase; I <= KernelLast; ++I)
-          if (!Code[I].Ops.empty()) {
-            Code[I].Ops.push_back(Code[I].Ops.front());
-            break;
-          }
-      }
-      PipelinedLoopLayout L;
-      L.PrologBase = Base;
-      L.II = S;
-      L.Stages = M;
-      L.Unroll = U;
-      L.LoopId = For.LoopId;
-      recordVerifyFindings(verifyPipelinedLoop(Code, L, G, MS.Sched),
-                           "emitted pipelined loop", For.LoopId);
+    if (!Opts.ParanoidVerify)
+      return true;
+    // The region is fully emitted; re-derive its structure from the
+    // schedule and compare against the instructions actually in Code.
+    // Trailing epilog rows with no operations are created lazily, so
+    // materialize the whole region before handing it to the verifier.
+    (void)instAt(Cursor - 1);
+    // Chaos: corrupt the emitted kernel (duplicate its first operation)
+    // so the emission check below must catch it — the code is already
+    // committed, so this one is a structured compile failure, not a
+    // recoverable fallback.
+    if (faults::shouldFire(faults::Site::CorruptEmission)) {
+      for (size_t I = KernelBase; I != EpilogBase; ++I)
+        if (!Code[I].Ops.empty()) {
+          Code[I].Ops.push_back(Code[I].Ops.front());
+          break;
+        }
     }
+    PipelinedLoopLayout L{.PrologBase = Base, .II = Plan.II,
+                          .Stages = Plan.Stages, .Unroll = Plan.Windows,
+                          .LoopId = For.LoopId};
+    recordVerifyFindings(verifyPipelinedLoop(Code, L, *Plan.G, *Plan.Sched),
+                         "emitted pipelined loop", For.LoopId);
+    return true;
   };
 
-  if (StaticN) {
-    int64_t N = *StaticN;
-    if (N <= 0) {
+  if (StaticN && *StaticN <= 0) {
+    if (Plan.Rung == ScheduleRung::Modulo) {
       Report.Decision = PipelineDecision::Fallback;
       Report.Cause = FallbackCause::ZeroTrip;
       Report.Rung = ScheduleRung::None;
-      Report.TotalLoopInsts = 0;
-      padDrain();
-      return true;
     }
-    if (N < Threshold) {
-      // Too short to fill the pipeline: run everything unpipelined.
-      Report.Decision = PipelineDecision::Fallback;
-      Report.Cause = FallbackCause::ShortTripCount;
-      Report.Rung = ScheduleRung::List;
-      PhysReg Counter = emitIConst(N);
-      emitLoopVarInit(For);
-      emitUnpipelinedRun(PlainG, LocalSched, UnpipelinedPeriod, For.LoopId,
-                         Counter);
-      Report.TotalLoopInsts = Cursor - LoopInstsBegin;
-      padDrain();
-      return true;
-    }
-    int64_t T1 = N - (M - 1);
-    int64_t Rem = T1 % U;
-    int64_t Kp = T1 / U;
+  } else if (Plan.Rung == ScheduleRung::List ||
+             Plan.Rung == ScheduleRung::Sequential) {
+    emitCountedRun(For, [&](PhysReg N) { return Run(Plan, N); });
+  } else if (Plan.Rung == ScheduleRung::Modulo && StaticN &&
+             *StaticN < Fill + U) {
+    // Too short to fill the pipeline: run everything unpipelined.
+    Report.Decision = PipelineDecision::Fallback;
+    Report.Cause = FallbackCause::ShortTripCount;
+    Report.Rung = ScheduleRung::List;
+    emitCountedRun(For, [&](PhysReg N) { return Run(Plain, N); });
+  } else if (StaticN) {
+    // n = Fill + U*k + rem: rem plain iterations, then k kernel passes.
+    // The remainder runs first so the kernel's backedge can advance the
+    // loop variable by a constant U every time.
+    int64_t Rem = (*StaticN - Fill) % U;
+    int64_t Kp = (*StaticN - Fill) / U;
     emitLoopVarInit(For);
-    if (Rem > 0) {
-      PhysReg Counter = emitIConst(Rem);
-      emitUnpipelinedRun(PlainG, LocalSched, UnpipelinedPeriod, For.LoopId,
-                         Counter);
-    }
-    PhysReg KernelCounter = emitIConst(Kp);
-    EmitPipelinedBody(KernelCounter);
-    Report.TotalLoopInsts = Cursor - LoopInstsBegin;
-    padDrain();
-    return true;
+    if (Rem > 0)
+      Run(Plain, emitIConst(Rem));
+    if (Kp > 0)
+      Kernel(emitIConst(Kp));
+  } else if (Plan.Rung == ScheduleRung::UnrolledList) {
+    // Runtime trip count: both counts guarded (n <= 0 runs nothing —
+    // truncating div/mod keep both nonpositive then).
+    PhysReg N = emitTripCount(For);
+    PhysReg UC = emitIConst(U);
+    PhysReg Rem = emitIOp(Opcode::IMod, {N, UC});
+    PhysReg Kp = emitIOp(Opcode::IDiv, {N, UC});
+    emitLoopVarInit(For);
+    PhysReg Zero = emitIConst(0);
+    emitIfPositive(Zero, Rem, [&] { return Run(Plain, Rem); });
+    emitIfPositive(Zero, Kp, [&] { return Kernel(Kp); });
+  } else {
+    // Runtime trip count on the modulo rung: full dual-version dispatch.
+    PhysReg N = emitTripCount(For);
+    PhysReg FillC = emitIConst(Fill);
+    PhysReg UC = emitIConst(U);
+    PhysReg T1 = emitIOp(Opcode::ISub, {N, FillC});
+    PhysReg Small = emitIOp(Opcode::ICmpLT, {T1, UC});
+    PhysReg Big = emitIOp(Opcode::INot, {Small});
+    // Both versions compare against zero, so define it ahead of the
+    // dispatch branch.
+    PhysReg Zero = emitIConst(0);
+    size_t ToUnpipelined = emitCtrl(ControlOp::Kind::JumpIfZero, Big);
+
+    PhysReg Rem = emitIOp(Opcode::IMod, {T1, UC});
+    PhysReg Kp = emitIOp(Opcode::IDiv, {T1, UC});
+    emitLoopVarInit(For);
+    emitIfPositive(Zero, Rem, [&] { return Run(Plain, Rem); });
+    Kernel(Kp);
+    size_t ToDone = emitCtrl(ControlOp::Kind::Jump);
+
+    // Unpipelined-everything version (n < m-1+u, possibly n <= 0).
+    patchTarget(ToUnpipelined, Cursor);
+    emitIfPositive(Zero, N, [&] {
+      emitLoopVarInit(For);
+      return Run(Plain, N);
+    });
+    patchTarget(ToDone, Cursor);
   }
-
-  // Runtime trip count: full dual-version dispatch.
-  PhysReg N = emitTripCount(For);
-  PhysReg Mm1C = emitIConst(M - 1);
-  PhysReg UC = emitIConst(U);
-  PhysReg T1 = emitIBin(Opcode::ISub, N, Mm1C);
-  PhysReg Small = emitIBin(Opcode::ICmpLT, T1, UC);
-  PhysReg Big = scratchInt();
-  {
-    MachOp Not;
-    Not.Opc = Opcode::INot;
-    Not.Def = Big;
-    Not.Uses = {Small};
-    emitSerial(std::move(Not), MD.opcodeInfo(Opcode::INot).Latency);
-  }
-  // Both versions compare against zero, so define it ahead of the
-  // dispatch branch.
-  PhysReg Zero = emitIConst(0);
-  size_t ToUnpipelined = emitCtrl(ControlOp::Kind::JumpIfZero, Big);
-
-  PhysReg Rem = emitIBin(Opcode::IMod, T1, UC);
-  PhysReg Kp = emitIBin(Opcode::IDiv, T1, UC);
-  emitLoopVarInit(For);
-  PhysReg PosRem = emitIBin(Opcode::ICmpLT, Zero, Rem);
-  size_t SkipRem = emitCtrl(ControlOp::Kind::JumpIfZero, PosRem);
-  emitUnpipelinedRun(PlainG, LocalSched, UnpipelinedPeriod, For.LoopId, Rem);
-  patchTarget(SkipRem, Cursor);
-  EmitPipelinedBody(Kp);
-  size_t ToDone = emitCtrl(ControlOp::Kind::Jump);
-
-  // Unpipelined-everything version (n < m-1+u, possibly n <= 0).
-  patchTarget(ToUnpipelined, Cursor);
-  PhysReg PosN = emitIBin(Opcode::ICmpLT, Zero, N);
-  size_t SkipAll = emitCtrl(ControlOp::Kind::JumpIfZero, PosN);
-  emitLoopVarInit(For);
-  emitUnpipelinedRun(PlainG, LocalSched, UnpipelinedPeriod, For.LoopId, N);
-  patchTarget(SkipAll, Cursor);
-  patchTarget(ToDone, Cursor);
-  Report.TotalLoopInsts = Cursor - LoopInstsBegin;
+  Report.TotalLoopInsts = static_cast<unsigned>(Cursor - LoopInstsBegin);
   padDrain();
-  return true;
 }
 
 //===----------------------------------------------------------------------===//
