@@ -1,4 +1,4 @@
-//===- TripCountPrograms.h - loops that reach every trip-count dispatch -*- C++ -*-===//
+//===- TripCountPrograms.h - loops reaching every dispatch -*- C++ -*-===//
 //
 // Part of warp-swp.
 //
@@ -18,6 +18,7 @@
 #include "swp/Workloads/Workloads.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
