@@ -29,7 +29,7 @@ RunResult swp::bench::runWorkload(const WorkloadSpec &Spec,
                                   const MachineDescription &MD,
                                   const CompilerOptions &Opts, bool Verify) {
   RunResult R;
-  SWP_TRACE_SPAN(JobSpan, "benchWorkload");
+  trace::Span JobSpan("benchWorkload");
   if (JobSpan.active())
     JobSpan.args("\"workload\": \"" + Spec.Name + "\"");
   BuiltWorkload W = Spec.Make();

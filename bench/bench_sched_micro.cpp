@@ -30,7 +30,6 @@
 #include "swp/Metrics/Metrics.h"
 #include "swp/Pipeliner/ModuloScheduler.h"
 #include "swp/Sched/Utilization.h"
-#include "swp/Support/Trace.h"
 
 #include <benchmark/benchmark.h>
 
@@ -304,8 +303,6 @@ int runJsonMode(const std::string &OutPath, const std::string &BaselinePath) {
       "    \"mean_bottleneck_occupancy\": %.4f,\n"
       "    \"mean_issue_fill\": %.4f\n"
       "  },\n"
-      "  \"trace_compiled_in\": %s,\n"
-      "  \"metrics_compiled_in\": %s,\n"
       "  \"ms_per_sweep_min_metrics\": %.4f,\n"
       "  \"ms_per_sweep_median_metrics\": %.4f,\n"
       "  \"metrics_overhead_ratio\": %.3f,\n"
@@ -327,10 +324,8 @@ int runJsonMode(const std::string &OutPath, const std::string &BaselinePath) {
       Agg.TotalSeconds, NumScheduled,
       NumScheduled ? SumBottleneck / NumScheduled : 0.0,
       NumScheduled ? SumIssueFill / NumScheduled : 0.0,
-      trace::compiledIn() ? "true" : "false",
-      metrics::compiledIn() ? "true" : "false", MinMsMetrics,
-      medianOf(OnMs), MetricsRatio, MetricsOverheadOk ? "true" : "false",
-      Baseline,
+      MinMsMetrics, medianOf(OnMs), MetricsRatio,
+      MetricsOverheadOk ? "true" : "false", Baseline,
       Baseline > 0 ? Baseline / MinMs : 0.0);
   Out << Buf;
   std::printf("%s", Buf);

@@ -32,12 +32,12 @@ namespace swp {
 namespace api {
 
 /// Incompatible-change counter (see the stability policy above).
-constexpr unsigned VersionMajor = 7;
+constexpr unsigned VersionMajor = 8;
 /// Backward-compatible-addition counter.
 constexpr unsigned VersionMinor = 0;
 
 /// "MAJOR.MINOR" as carried by every response envelope.
-constexpr const char *versionString() { return "7.0"; }
+constexpr const char *versionString() { return "8.0"; }
 
 } // namespace api
 } // namespace swp

@@ -49,7 +49,6 @@ enum class OptionErrorKind : uint8_t {
   BadLoopLenCap,         ///< MaxLoopLenToPipeline == 0.
   BadEfficiencyThreshold,///< EfficiencyThreshold outside (0, 1].
   BadLadderRung,         ///< MinLadderRung > 2.
-  ChaosCompiledOut,      ///< ChaosSeed set but faults compiled out.
   ExplainWithoutPipelining, ///< Explain set but EnablePipelining off.
   DuplicateBudget,       ///< Both Tracker and Budget ceilings set.
 };
@@ -130,8 +129,7 @@ struct CompilerOptions {
   /// degenerate knobs (MaxUnroll == 0, a threshold outside (0, 1]),
   /// silently-ignored combos the async API exposes (Explain with
   /// pipelining disabled, an external Tracker alongside inline Budget
-  /// ceilings), and knobs whose support was compiled out (ChaosSeed
-  /// without SWP_FAULTS_ENABLED).
+  /// ceilings).
   std::vector<OptionDiag> validate() const;
 
   /// Convenience wrapper over validate(): the first finding's message,

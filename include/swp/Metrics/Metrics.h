@@ -19,10 +19,8 @@
 /// snapshot() merges all shards.
 ///
 /// Cost model (mirrors Trace.h):
-///   - compile-time off (-DSWP_METRICS_ENABLED=0): handles and record
-///     calls are no-ops; registration returns inert handles;
-///   - compiled in but runtime-disabled (the default): one relaxed
-///     atomic load per record, no allocation, no locking;
+///   - disabled (the default): one relaxed atomic load per record, no
+///     allocation, no locking;
 ///   - enabled: plus one or two relaxed fetch_adds on a thread-local
 ///     shard (first record on a thread pays a one-time shard setup).
 ///
@@ -57,17 +55,8 @@
 #include <utility>
 #include <vector>
 
-/// Compile-time master switch. Off removes every record from the binary;
-/// the runtime API degrades to no-ops that report !compiledIn().
-#ifndef SWP_METRICS_ENABLED
-#define SWP_METRICS_ENABLED 1
-#endif
-
 namespace swp {
 namespace metrics {
-
-/// True when the binary contains metrics instrumentation.
-constexpr bool compiledIn() { return SWP_METRICS_ENABLED != 0; }
 
 class MetricsRegistry;
 
@@ -335,20 +324,8 @@ using GaugeFamily = LabeledFamily<Gauge>;
 using HistogramFamily = LabeledFamily<Histogram>;
 
 /// Convenience accessors for the global registry's runtime switch.
-inline bool enabled() {
-#if SWP_METRICS_ENABLED
-  return MetricsRegistry::global().enabled();
-#else
-  return false;
-#endif
-}
-inline void setEnabled(bool On) {
-#if SWP_METRICS_ENABLED
-  MetricsRegistry::global().setEnabled(On);
-#else
-  (void)On;
-#endif
-}
+inline bool enabled() { return MetricsRegistry::global().enabled(); }
+inline void setEnabled(bool On) { MetricsRegistry::global().setEnabled(On); }
 
 } // namespace metrics
 } // namespace swp

@@ -19,16 +19,12 @@
 /// time, deterministically. Seed 0 means "no fault".
 ///
 /// Cost model (mirrors swp/Support/Trace.h):
-///   - compile-time off (-DSWP_FAULTS_ENABLED=0): every probe compiles to
-///     a constant-false; the library contains no injection state at all —
-///     the configuration for production/benchmark builds;
-///   - compiled in but disarmed (the default at runtime): one relaxed
-///     atomic load per probe;
+///   - disarmed (the default): one relaxed atomic load per probe;
 ///   - armed: one relaxed load plus one per-site counter increment.
 ///
 /// Arming is process-global (the compiler is instrumented at module scope,
 /// not per-instance); CompilerOptions::ChaosSeed arms for the duration of
-/// one compileProgram call via ScopedArm.
+/// one compileProgram call via ScopedArm, the only way to arm.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,12 +32,6 @@
 #define SWP_SUPPORT_FAULTINJECT_H
 
 #include <cstdint>
-
-/// Compile-time master switch. Off removes every fault probe from the
-/// binary; the runtime API degrades to no-ops that report !compiledIn().
-#ifndef SWP_FAULTS_ENABLED
-#define SWP_FAULTS_ENABLED 1
-#endif
 
 namespace swp {
 namespace faults {
@@ -59,9 +49,6 @@ constexpr unsigned NumSites = 5;
 /// Stable lowercase tag for a site ("corrupt-emission").
 const char *siteName(Site S);
 
-/// True when the binary contains fault probes.
-constexpr bool compiledIn() { return SWP_FAULTS_ENABLED != 0; }
-
 /// Encodes (site, occurrence) as a nonzero chaos seed: sweeping
 /// Occurrence = 0, 1, 2, ... walks successive dynamic hits of \p S.
 constexpr uint64_t chaosSeed(Site S, unsigned Occurrence) {
@@ -69,27 +56,17 @@ constexpr uint64_t chaosSeed(Site S, unsigned Occurrence) {
          static_cast<uint64_t>(NumSites) * Occurrence;
 }
 
-/// Arms the process-global injector with \p Seed (0 disarms). Resets all
-/// occurrence counters. No-op when compiled out.
-void arm(uint64_t Seed);
-void disarm();
-bool armed();
-
 /// Probes the fault point \p S: returns true exactly when the injector is
 /// armed for \p S and this is the armed occurrence. Each call while armed
 /// advances the site's occurrence counter, so a sweep over occurrences
 /// terminates: once the counter passes every dynamic hit, later seeds
-/// never fire (observable via fired()).
+/// never fire.
 bool shouldFire(Site S);
 
-/// True when the armed fault has fired at least once.
-bool fired();
-
-/// Dynamic hits of \p S since arming (for occurrence-sweep tests).
-uint64_t hitCount(Site S);
-
-/// RAII arming for one compilation; no-op when \p Seed is 0 or when
-/// already armed (nested compiles keep the outer seed).
+/// RAII arming for one compilation: arms the process-global injector with
+/// \p Seed, resetting every occurrence counter, and disarms on
+/// destruction. A no-op when \p Seed is 0 or when already armed (nested
+/// compiles keep the outer seed).
 class ScopedArm {
 public:
   explicit ScopedArm(uint64_t Seed);

@@ -13,10 +13,8 @@
 /// thread pool spreads over its workers shows up per worker.
 ///
 /// Cost model:
-///   - compile-time off (-DSWP_TRACE_ENABLED=0): every macro expands to
-///     nothing; the library contains no instrumentation at all;
-///   - compiled in but runtime-inactive (the default): one relaxed atomic
-///     load per span, no allocation, no locking;
+///   - inactive (the default): one relaxed atomic load per span or
+///     instant, no allocation, no locking;
 ///   - active: one uncontended per-thread mutex acquisition per event
 ///     (taken only to serialize against the session flush, which may run
 ///     on another thread), appends into a preallocated ring buffer.
@@ -28,9 +26,7 @@
 /// with everyone else's.
 ///
 /// Args strings are caller-formatted JSON object bodies ("\"ii\": 5"),
-/// built only when a span is active (check \c Span::active() first, or
-/// route through the SWP_TRACE_* macros which compile away entirely when
-/// tracing is off).
+/// built only when a span is active (check \c Span::active() first).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,23 +37,14 @@
 #include <cstdint>
 #include <string>
 
-/// Compile-time master switch. Off removes every trace site from the
-/// binary; the runtime API degrades to no-ops that report !compiledIn().
-#ifndef SWP_TRACE_ENABLED
-#define SWP_TRACE_ENABLED 1
-#endif
-
 namespace swp {
 namespace trace {
 
-/// True when the binary contains trace instrumentation.
-constexpr bool compiledIn() { return SWP_TRACE_ENABLED != 0; }
-
-/// True while a session is collecting (always false when compiled out).
+/// True while a session is collecting.
 bool isActive();
 
 /// Begins a session writing to \p Path on stop(). Clears all buffers.
-/// Returns false (and does nothing) when compiled out or already active.
+/// Returns false (and does nothing) when a session is already active.
 bool start(const std::string &Path);
 
 /// Stops the session and flushes every thread's events to the session
@@ -104,34 +91,7 @@ private:
   std::string Args;
 };
 
-/// No-op stand-in used by the macros when tracing is compiled out.
-struct NullSpan {
-  static constexpr bool active() { return false; }
-  void args(const std::string &) {}
-};
-
 } // namespace trace
 } // namespace swp
-
-#define SWP_TRACE_CONCAT_IMPL(A, B) A##B
-#define SWP_TRACE_CONCAT(A, B) SWP_TRACE_CONCAT_IMPL(A, B)
-
-#if SWP_TRACE_ENABLED
-/// Anonymous scope span: traces the enclosing scope's duration.
-#define SWP_TRACE_SCOPE(NameLiteral)                                         \
-  ::swp::trace::Span SWP_TRACE_CONCAT(SwpTraceSpan_, __COUNTER__)(NameLiteral)
-/// Named span variable, for attaching args before scope exit.
-#define SWP_TRACE_SPAN(Var, NameLiteral) ::swp::trace::Span Var(NameLiteral)
-/// Instant event with lazily formatted args.
-#define SWP_TRACE_INSTANT(NameLiteral, ...)                                  \
-  do {                                                                       \
-    if (::swp::trace::isActive())                                            \
-      ::swp::trace::instant(NameLiteral, __VA_ARGS__);                       \
-  } while (false)
-#else
-#define SWP_TRACE_SCOPE(NameLiteral) ((void)0)
-#define SWP_TRACE_SPAN(Var, NameLiteral) ::swp::trace::NullSpan Var
-#define SWP_TRACE_INSTANT(NameLiteral, ...) ((void)0)
-#endif
 
 #endif // SWP_SUPPORT_TRACE_H

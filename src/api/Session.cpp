@@ -247,7 +247,7 @@ struct Session::Impl {
     }
     SessionMetrics::get().QueueDepth.sub(1);
 
-    SWP_TRACE_SPAN(Span, "session.request");
+    trace::Span Span("session.request");
     if (Span.active()) {
       std::ostringstream Args;
       Args << "\"session_id\": " << Id << ", \"request_id\": " << P->ReqId
@@ -458,7 +458,7 @@ CompileHandle Session::submit(CompileRequest Req) {
 
 std::vector<CompileHandle>
 Session::submitBatch(std::vector<CompileRequest> Reqs) {
-  SWP_TRACE_SPAN(Span, "session.submitBatch");
+  trace::Span Span("session.submitBatch");
   std::vector<CompileHandle> Handles;
   Handles.reserve(Reqs.size());
   for (CompileRequest &Req : Reqs)
@@ -530,7 +530,7 @@ CompileResponse Session::Impl::compileNowInner(Program &P,
     return Resp;
   }
 
-  SWP_TRACE_SPAN(Span, "session.compileNow");
+  trace::Span Span("session.compileNow");
   if (Span.active()) {
     std::ostringstream Args;
     Args << "\"session_id\": " << Id << ", \"request_id\": " << ReqId

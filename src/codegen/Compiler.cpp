@@ -794,7 +794,7 @@ void CompilerImpl::emitLoop(ForStmt &For) {
     return;
   }
 
-  SWP_TRACE_SPAN(LoopSpan, "compileLoop");
+  trace::Span LoopSpan("compileLoop");
 
   LoopReport Report;
   Report.LoopId = For.LoopId;
@@ -1323,8 +1323,6 @@ const char *swp::optionErrorKindText(OptionErrorKind K) {
     return "bad-efficiency-threshold";
   case OptionErrorKind::BadLadderRung:
     return "bad-ladder-rung";
-  case OptionErrorKind::ChaosCompiledOut:
-    return "chaos-compiled-out";
   case OptionErrorKind::ExplainWithoutPipelining:
     return "explain-without-pipelining";
   case OptionErrorKind::DuplicateBudget:
@@ -1350,10 +1348,6 @@ std::vector<OptionDiag> swp::CompilerOptions::validate() const {
     Reject(OptionErrorKind::BadLadderRung,
            "MinLadderRung must be 0 (full), 1 (unrolled list), or 2 "
            "(sequential)");
-  if (ChaosSeed != 0 && !faults::compiledIn())
-    Reject(OptionErrorKind::ChaosCompiledOut,
-           "ChaosSeed set but fault injection was compiled out "
-           "(SWP_FAULTS_ENABLED=0)");
   if (Explain && !EnablePipelining)
     Reject(OptionErrorKind::ExplainWithoutPipelining,
            "Explain renders pipelined kernels only; it is contradictory "
@@ -1431,7 +1425,7 @@ CompileResult swp::compileProgram(Program &P, const MachineDescription &MD,
       Diags->error(SourceLoc{}, OptErr);
     return R;
   }
-  SWP_TRACE_SPAN(CompileSpan, "compileProgram");
+  trace::Span CompileSpan("compileProgram");
   // Arm deterministic fault injection for this compile only (no-op when
   // ChaosSeed is 0 or an outer scope already armed).
   faults::ScopedArm Chaos(Checked.ChaosSeed);

@@ -120,6 +120,22 @@ bool emitMetricsSnapshot(const std::string &Path, std::ostream &Out,
   return true;
 }
 
+/// Ends the --trace session, if \p Path names one, by writing it.
+/// Returns false (with a diagnostic) on I/O failure.
+bool finishTrace(const std::string &Path, bool Json, std::ostream &Out,
+                 std::ostream &Err) {
+  if (Path.empty())
+    return true;
+  std::string TraceErr;
+  if (!trace::stop(&TraceErr)) {
+    Err << "error: writing trace: " << TraceErr << "\n";
+    return false;
+  }
+  if (!Json)
+    Out << "(trace written to " << Path << ")\n";
+  return true;
+}
+
 /// The --batch path: every input file goes through one Session
 /// (identical files share one compile through the memo).
 int runBatch(const std::vector<std::string> &Paths, TargetRegistry &Reg,
@@ -157,11 +173,6 @@ int runBatch(const std::vector<std::string> &Paths, TargetRegistry &Reg,
   }
 
   if (!TracePath.empty()) {
-    if (!trace::compiledIn()) {
-      Err << "error: --trace requested but tracing was compiled out "
-             "(rebuild with SWP_TRACE_ENABLED=1)\n";
-      return W2CExitUsage;
-    }
     trace::start(TracePath);
     trace::setThreadName("w2c-main");
   }
@@ -187,15 +198,8 @@ int runBatch(const std::vector<std::string> &Paths, TargetRegistry &Reg,
   for (const CompileHandle &H : Handles)
     Responses.push_back(&H.get());
 
-  if (!TracePath.empty()) {
-    std::string TraceErr;
-    if (!trace::stop(&TraceErr)) {
-      Err << "error: writing trace: " << TraceErr << "\n";
-      return W2CExitUsage;
-    }
-    if (!Json)
-      Out << "(trace written to " << TracePath << ")\n";
-  }
+  if (!finishTrace(TracePath, Json, Out, Err))
+    return W2CExitUsage;
 
   bool AnyFailed = false;
   bool AnyDegraded = false;
@@ -359,11 +363,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
     return W2CExitUsage;
   }
   if (Metrics) {
-    if (!metrics::compiledIn()) {
-      Err << "error: --metrics requested but metrics were compiled out "
-             "(rebuild with SWP_METRICS_ENABLED=1)\n";
-      return W2CExitUsage;
-    }
     if (Json && MetricsOut.empty()) {
       Err << "error: --json prints a JSON document on stdout; --metrics "
              "needs --metrics-out=FILE to keep it parseable\n";
@@ -450,11 +449,6 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
   }
 
   if (!TracePath.empty()) {
-    if (!trace::compiledIn()) {
-      Err << "error: --trace requested but tracing was compiled out "
-             "(rebuild with SWP_TRACE_ENABLED=1)\n";
-      return W2CExitUsage;
-    }
     trace::start(TracePath);
     trace::setThreadName("w2c-main");
   }
@@ -468,30 +462,27 @@ int swp::runW2C(const std::vector<std::string> &Args, std::ostream &Out,
   const MachineDescription &MD = *Reg.lookup(Target);
   CompileResponse Resp = Sess.compileNow(Mod->Prog, Target, &Opts, &DE);
   CompileResult &CR = Resp.Result;
+  bool SimFailed = false;
   if (CR.Ok && Utilization) {
     // Dynamic occupancy: run the compiled code on the cycle-accurate
     // simulator with zero-filled arrays and scalars. Resource usage is
     // input-independent for these kernels; the report reflects the real
     // schedule the machine executes.
     SimResult SR = simulate(CR.Code, Mod->Prog, MD, ProgramInput{});
-    if (!SR.State.Ok) {
+    if (SR.State.Ok) {
+      CR.Report.HasUtilization = true;
+      CR.Report.Util = SR.Util;
+    } else {
       Err << "simulation error: " << SR.State.Error << "\n";
-      return W2CExitCompile;
+      SimFailed = true;
     }
-    CR.Report.HasUtilization = true;
-    CR.Report.Util = SR.Util;
   }
-  if (!TracePath.empty()) {
-    std::string TraceErr;
-    if (!trace::stop(&TraceErr)) {
-      Err << "error: writing trace: " << TraceErr << "\n";
-      return W2CExitUsage;
-    }
-    if (!Json)
-      Out << "(trace written to " << TracePath << ")\n";
-  }
-  if (!CR.Ok) {
-    Err << "codegen error: " << CR.Error << "\n";
+  // Every exit past this point has ended the trace session.
+  if (!finishTrace(TracePath, Json, Out, Err))
+    return W2CExitUsage;
+  if (!CR.Ok || SimFailed) {
+    if (!CR.Ok)
+      Err << "codegen error: " << CR.Error << "\n";
     for (const std::string &E : CR.Report.VerifyErrors)
       Err << "verifier: " << E << "\n";
     if (Metrics) // Snapshot the failure too; counters explain it.

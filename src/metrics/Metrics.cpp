@@ -143,8 +143,6 @@ struct MetricsRegistry::Impl {
   }
 };
 
-#if SWP_METRICS_ENABLED
-
 MetricsRegistry::MetricsRegistry() : I(new Impl) {}
 MetricsRegistry::~MetricsRegistry() = default;
 
@@ -285,52 +283,8 @@ void Histogram::record(uint64_t V) const {
     R->recordHistogram(BaseSlot, V);
 }
 
-#else // !SWP_METRICS_ENABLED
-
-MetricsRegistry::MetricsRegistry() : I(new Impl) {}
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry &MetricsRegistry::global() {
-  static MetricsRegistry *R = new MetricsRegistry;
-  return *R;
-}
-
-bool MetricsRegistry::enabled() const { return false; }
-void MetricsRegistry::setEnabled(bool) {}
-
-Counter MetricsRegistry::counter(const std::string &, const std::string &,
-                                 const std::string &) {
-  return Counter();
-}
-Gauge MetricsRegistry::gauge(const std::string &, const std::string &,
-                             const std::string &) {
-  return Gauge();
-}
-Histogram MetricsRegistry::histogram(const std::string &, const std::string &,
-                                     const std::string &) {
-  return Histogram();
-}
-bool MetricsRegistry::registerGauge(const std::string &, const std::string &,
-                                    const std::string &,
-                                    std::function<double()>) {
-  return false;
-}
-MetricsSnapshot MetricsRegistry::snapshot() const { return {}; }
-void MetricsRegistry::reset() {}
-uint64_t MetricsRegistry::droppedRegistrations() const { return 0; }
-
-void MetricsRegistry::recordAdd(uint32_t, uint64_t) {}
-void MetricsRegistry::recordHistogram(uint32_t, uint64_t) {}
-
-void Counter::inc(uint64_t) const {}
-void Gauge::add(int64_t) const {}
-void Histogram::record(uint64_t) const {}
-
-#endif // SWP_METRICS_ENABLED
-
 //===----------------------------------------------------------------------===//
-// Snapshot queries + exposition (independent of the compile switch: a
-// snapshot is plain data).
+// Snapshot queries + exposition.
 //===----------------------------------------------------------------------===//
 
 namespace {

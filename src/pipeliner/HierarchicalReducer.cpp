@@ -92,7 +92,7 @@ std::vector<ScheduleUnit>
 swp::reduceStmtsToUnits(const std::vector<const Stmt *> &Stmts,
                         const MachineDescription &MD,
                         unsigned CurrentLoopId) {
-  SWP_TRACE_SPAN(ReduceSpan, "hierarchicalReduce");
+  trace::Span ReduceSpan("hierarchicalReduce");
   std::vector<ScheduleUnit> Units;
   Units.reserve(Stmts.size());
   unsigned NumReduced = 0;

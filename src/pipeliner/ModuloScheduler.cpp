@@ -148,7 +148,7 @@ SchedulerImpl::SchedulerImpl(const DepGraph &G, const MachineDescription &MD,
   // nontrivial components need it.
   Infos.resize(NumComps);
   {
-    SWP_TRACE_SPAN(ClosureSpan, "sccClosureBuild");
+    trace::Span ClosureSpan("sccClosureBuild");
     auto ClosureStart = Clock::now();
     for (unsigned C = 0; C != NumComps; ++C)
       if (Comps[C].size() > 1) {
@@ -364,7 +364,7 @@ bool SchedulerImpl::scheduleComponent(unsigned C, unsigned S, SlotOrder Order,
 std::optional<Schedule>
 SchedulerImpl::tryInterval(unsigned S, SchedulerStats &Stats,
                            IntervalFailure *FailOut) const {
-  SWP_TRACE_SPAN(AttemptSpan, "tryInterval");
+  trace::Span AttemptSpan("tryInterval");
   IntervalFailure Fail;
   std::optional<Schedule> Result = tryIntervalImpl(S, Stats, Fail);
   if (!Result) {
@@ -429,7 +429,7 @@ SchedulerImpl::tryIntervalImpl(unsigned S, SchedulerStats &Stats,
   // Phase 1: schedule every nontrivial component individually; when the
   // earliest-first heuristic wedges, retry the component latest-first.
   if (HasNontrivial) {
-    SWP_TRACE_SCOPE("phase1.components");
+    trace::Span Phase1Span("phase1.components");
     auto P1Start = Clock::now();
     ModuloReservationTable LocalMRT(MD, S);
     ComponentScratch Scr;
@@ -456,7 +456,7 @@ SchedulerImpl::tryIntervalImpl(unsigned S, SchedulerStats &Stats,
   // acyclic condensation against the global modulo reservation table.
   // Trivial components reuse their unit's reservation verbatim; only
   // nontrivial ones fold this attempt's internal offsets in.
-  SWP_TRACE_SCOPE("phase2.condensation");
+  trace::Span Phase2Span("phase2.condensation");
   auto P2Start = Clock::now();
   std::vector<std::pair<const ResourceUse *, size_t>> AggRes(NumComps);
   std::vector<int> AggLen(NumComps);
@@ -624,7 +624,7 @@ swp::scheduleAtInterval(const DepGraph &G, const MachineDescription &MD,
 ModuloScheduleResult swp::moduloSchedule(const DepGraph &G,
                                          const MachineDescription &MD,
                                          const ModuloScheduleOptions &Opts) {
-  SWP_TRACE_SPAN(SearchSpan, "moduloSchedule");
+  trace::Span SearchSpan("moduloSchedule");
   auto TotalStart = Clock::now();
   ModuloScheduleResult Result;
   Result.ResMII = resMII(G, MD);

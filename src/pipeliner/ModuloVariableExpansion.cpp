@@ -63,7 +63,7 @@ MVEPlan swp::planModuloVariableExpansion(
     const std::vector<ScheduleUnit> &Units, const Schedule &Sched,
     unsigned II, std::span<const uint8_t> Expanded, MVEPolicy Policy) {
   MVEPlan Plan;
-  SWP_TRACE_SPAN(MveSpan, "mvePlan");
+  trace::Span MveSpan("mvePlan");
   if (Policy == MVEPolicy::Disabled ||
       std::all_of(Expanded.begin(), Expanded.end(),
                   [](uint8_t F) { return F == 0; }))

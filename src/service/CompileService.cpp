@@ -147,7 +147,7 @@ CompileResult CompileService::runCompile(const CompileJob &Job,
 }
 
 CompileResult CompileService::compileOne(const CompileJob &Job) {
-  SWP_TRACE_SPAN(Span, "service.compileOne");
+  trace::Span Span("service.compileOne");
   Requests.fetch_add(1, std::memory_order_relaxed);
   ServiceMetrics::get().Requests.inc();
   assert(Job.Make && Job.MD && "CompileJob needs a factory and a machine");
@@ -183,7 +183,7 @@ CompileResult CompileService::compileOne(const CompileJob &Job) {
   if (memoLookup(Key, Hit)) {
     MemoHits.fetch_add(1, std::memory_order_relaxed);
     ServiceMetrics::get().MemoHits.inc();
-    SWP_TRACE_INSTANT("service.memoHit", {});
+    trace::instant("service.memoHit");
     return Hit;
   }
 

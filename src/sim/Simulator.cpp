@@ -20,7 +20,7 @@ using namespace swp::simdetail;
 SimResult swp::simulate(const VLIWProgram &Code, const Program &P,
                         const MachineDescription &MD,
                         const ProgramInput &Input, const SimOptions &Opts) {
-  SWP_TRACE_SPAN(SimSpan, "simulate");
+  trace::Span SimSpan("simulate");
   Channel In, Out;
   In.Data = Input.InputQueue;
   In.Closed = true; // No producer: an over-pop is a hard error.

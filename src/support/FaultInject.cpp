@@ -31,31 +31,24 @@ const char *swp::faults::siteName(Site S) {
   return "unknown";
 }
 
-#if SWP_FAULTS_ENABLED
-
 namespace {
 
-/// Armed seed (0 = disarmed). Written only by arm()/disarm(); probes read
-/// it relaxed — arming mid-compile from another thread is not supported,
+/// Armed seed (0 = disarmed). Written only by ScopedArm; probes read it
+/// relaxed — arming mid-compile from another thread is not supported,
 /// only probing concurrently under one arming.
 std::atomic<uint64_t> ArmedSeed{0};
 std::atomic<uint64_t> Hits[NumSites];
-std::atomic<bool> Fired{false};
 
-} // namespace
-
-void swp::faults::arm(uint64_t Seed) {
+/// Resets every occurrence counter and arms \p Seed (0 disarms).
+void arm(uint64_t Seed) {
   for (std::atomic<uint64_t> &H : Hits)
     H.store(0, std::memory_order_relaxed);
-  Fired.store(false, std::memory_order_relaxed);
   ArmedSeed.store(Seed, std::memory_order_release);
 }
 
-void swp::faults::disarm() { arm(0); }
+bool armed() { return ArmedSeed.load(std::memory_order_relaxed) != 0; }
 
-bool swp::faults::armed() {
-  return ArmedSeed.load(std::memory_order_relaxed) != 0;
-}
+} // namespace
 
 bool swp::faults::shouldFire(Site S) {
   uint64_t Seed = ArmedSeed.load(std::memory_order_acquire);
@@ -65,7 +58,6 @@ bool swp::faults::shouldFire(Site S) {
       1, std::memory_order_relaxed);
   if (Seed != chaosSeed(S, static_cast<unsigned>(Occ)))
     return false;
-  Fired.store(true, std::memory_order_relaxed);
   {
     // Firing is rare (once per armed compile); registration cost here is
     // one-time per site, the record is the usual relaxed add.
@@ -84,12 +76,6 @@ bool swp::faults::shouldFire(Site S) {
   return true;
 }
 
-bool swp::faults::fired() { return Fired.load(std::memory_order_relaxed); }
-
-uint64_t swp::faults::hitCount(Site S) {
-  return Hits[static_cast<unsigned>(S)].load(std::memory_order_relaxed);
-}
-
 ScopedArm::ScopedArm(uint64_t Seed) {
   if (Seed == 0 || armed())
     return;
@@ -99,18 +85,5 @@ ScopedArm::ScopedArm(uint64_t Seed) {
 
 ScopedArm::~ScopedArm() {
   if (Engaged)
-    disarm();
+    arm(0);
 }
-
-#else // !SWP_FAULTS_ENABLED
-
-void swp::faults::arm(uint64_t) {}
-void swp::faults::disarm() {}
-bool swp::faults::armed() { return false; }
-bool swp::faults::shouldFire(Site) { return false; }
-bool swp::faults::fired() { return false; }
-uint64_t swp::faults::hitCount(Site) { return 0; }
-ScopedArm::ScopedArm(uint64_t) {}
-ScopedArm::~ScopedArm() = default;
-
-#endif // SWP_FAULTS_ENABLED

@@ -151,7 +151,6 @@ void ThreadPool::runItem(Item I, std::unique_lock<std::mutex> &Lock) {
 }
 
 void ThreadPool::workerLoop() {
-#if SWP_TRACE_ENABLED
   // Label this worker's trace track so batch and session work is
   // attributable. The counter is process-wide: beyond the global
   // pool, tests still construct private pools, and reusing names would
@@ -159,7 +158,6 @@ void ThreadPool::workerLoop() {
   static std::atomic<unsigned> WorkerSeq{0};
   trace::setThreadName("swp-worker-" + std::to_string(WorkerSeq.fetch_add(
                            1, std::memory_order_relaxed)));
-#endif
   std::unique_lock<std::mutex> Lock(Mu);
   while (true) {
     WorkReady.wait(Lock, [this] { return Stop || !Queue.empty(); });

@@ -26,8 +26,6 @@
 
 using namespace swp;
 
-#if SWP_TRACE_ENABLED
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -274,22 +272,3 @@ trace::Span::~Span() {
   uint64_t End = nowNs(R);
   append({Name, 'X', StartNs, End - StartNs, std::move(Args)});
 }
-
-#else // !SWP_TRACE_ENABLED
-
-bool trace::isActive() { return false; }
-bool trace::start(const std::string &) { return false; }
-bool trace::stop(std::string *Error) {
-  if (Error)
-    *Error = "tracing compiled out (SWP_TRACE_ENABLED=0)";
-  return false;
-}
-void trace::setThreadName(const std::string &) {}
-void trace::instant(const char *, std::string) {}
-void trace::counter(const char *, const char *, double) {}
-uint64_t trace::droppedEvents() { return 0; }
-trace::Span::Span(const char *) {}
-void trace::Span::args(std::string) {}
-trace::Span::~Span() {}
-
-#endif // SWP_TRACE_ENABLED

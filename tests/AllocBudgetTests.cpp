@@ -57,10 +57,16 @@ void *operator new(std::size_t N, const std::nothrow_t &) noexcept {
 void *operator new[](std::size_t N, const std::nothrow_t &) noexcept {
   return countedAlloc(N);
 }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+// Out of line, so GCC does not inline free() into a caller whose
+// operator new it cannot see is malloc (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete[](void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete[](void *P, std::size_t) noexcept {
+  std::free(P);
+}
 
 namespace {
 

@@ -22,6 +22,7 @@
 #include "swp/IR/Printer.h"
 #include "swp/IR/Verifier.h"
 #include "swp/Support/FaultInject.h"
+#include "swp/Support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -663,8 +664,6 @@ TEST(W2CExitCodes, FrontendRejectionIsTwoWithAllDiagnostics) {
 }
 
 TEST(W2CExitCodes, CompileFailureIsThree) {
-  if (!faults::compiledIn())
-    GTEST_SKIP() << "fault injection compiled out";
   // Post-emission corruption is unrecoverable by design; with --verify
   // the driver must report a compile/verify failure.
   DriverRun R = runDriver(
@@ -696,8 +695,6 @@ TEST(W2CExitCodes, BudgetDegradedCompileIsFour) {
 // populated by the real searches. The global registry accumulates across
 // tests in this binary, so the assertions compare before/after deltas.
 TEST(W2CMetrics, SnapshotIsSelfConsistent) {
-  if (!metrics::compiledIn())
-    GTEST_SKIP() << "metrics compiled out";
   metrics::MetricsRegistry &Reg = metrics::MetricsRegistry::global();
   metrics::MetricsSnapshot Before = Reg.snapshot();
   DriverRun R = runDriver({"--metrics", "--batch",
@@ -763,4 +760,83 @@ TEST(W2CMetrics, JsonModeRequiresMetricsOut) {
   EXPECT_NE(SS.str().find("# TYPE swp_session_latency_us histogram"),
             std::string::npos);
   std::filesystem::remove(OutFile);
+}
+
+// ---------------------------------------------------------------------------
+// --trace through the driver (see swp/Support/Trace.h).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::string traceFile(const std::string &Stem) {
+  std::filesystem::path P =
+      std::filesystem::temp_directory_path() / ("w2c-trace-" + Stem + ".json");
+  std::filesystem::remove(P);
+  return P.string();
+}
+
+/// Checks that \p Path holds a well-formed trace of a compile started
+/// from the driver's thread.
+void expectCompileTrace(const std::string &Path) {
+  std::ifstream In(Path);
+  ASSERT_TRUE(In.good()) << "no trace written to " << Path;
+  std::stringstream SS;
+  SS << In.rdbuf();
+  std::string Text = SS.str();
+  EXPECT_TRUE(JsonChecker(Text).valid()) << Text;
+  EXPECT_NE(Text.find("\"name\": \"compileProgram\""), std::string::npos);
+  EXPECT_NE(Text.find("\"name\": \"w2c-main\""), std::string::npos);
+}
+
+// A stream cell: the zero-filled inputs of --utilization leave its input
+// channel empty, so the simulation fails after a clean compile.
+const char RecvSource[] = R"(
+  begin
+    for i := 0 to 3 do
+      send(recv() * 2.0);
+  end
+)";
+
+} // namespace
+
+TEST(W2CTrace, SingleFileWritesCompileSpans) {
+  std::string Path = traceFile("single");
+  DriverRun R =
+      runDriver({"--trace=" + Path, writeSource("trace-single", GoodSource)});
+  EXPECT_FALSE(trace::isActive()) << "the driver must end its session";
+  EXPECT_EQ(R.Exit, W2CExitOk) << R.Err;
+  EXPECT_NE(R.Out.find("(trace written to " + Path + ")"), std::string::npos);
+  expectCompileTrace(Path);
+}
+
+TEST(W2CTrace, BatchWritesCompileSpans) {
+  std::string Path = traceFile("batch");
+  DriverRun R = runDriver({"--batch", "--trace=" + Path,
+                           writeSource("trace-batch-a", GoodSource),
+                           writeSource("trace-batch-b", GoodSource)});
+  EXPECT_FALSE(trace::isActive()) << "the driver must end its session";
+  EXPECT_EQ(R.Exit, W2CExitOk) << R.Err;
+  expectCompileTrace(Path);
+}
+
+// A failed --utilization simulation exits 3 like a failed compile, and
+// like it still writes the trace and the metrics snapshot.
+TEST(W2CTrace, SimulationFailureWritesTraceAndMetrics) {
+  std::string Path = traceFile("sim-failure");
+  DriverRun R = runDriver({"--utilization", "--trace=" + Path, "--metrics",
+                           writeSource("trace-recv", RecvSource)});
+  metrics::setEnabled(false); // Leave the process as this test found it.
+  bool StillTracing = trace::isActive();
+  if (StillTracing)
+    trace::stop();
+  EXPECT_FALSE(StillTracing) << "the driver must end its session";
+  EXPECT_EQ(R.Exit, W2CExitCompile) << R.Err;
+  EXPECT_NE(R.Err.find("simulation error"), std::string::npos) << R.Err;
+  EXPECT_NE(R.Out.find("=== metrics ==="), std::string::npos) << R.Out;
+  expectCompileTrace(Path);
+  std::ifstream In(Path);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  EXPECT_NE(SS.str().find("\"name\": \"simulate\""), std::string::npos)
+      << "the trace covers the failed simulation";
 }

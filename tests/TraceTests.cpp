@@ -171,7 +171,6 @@ void compileLivermoreOn(ThreadPool &Pool, const MachineDescription &MD) {
 //===----------------------------------------------------------------------===//
 
 TEST(Trace, SessionLifecycle) {
-  ASSERT_TRUE(trace::compiledIn()) << "tests build with tracing compiled in";
   EXPECT_FALSE(trace::isActive());
 
   std::string Error;
@@ -183,7 +182,7 @@ TEST(Trace, SessionLifecycle) {
   EXPECT_TRUE(trace::isActive());
   EXPECT_FALSE(trace::start(Path)) << "second start while active must fail";
 
-  { SWP_TRACE_SCOPE("lifecycle-span"); }
+  { trace::Span S("lifecycle-span"); }
   ASSERT_TRUE(trace::stop(&Error)) << Error;
   EXPECT_FALSE(trace::isActive());
 
@@ -192,7 +191,7 @@ TEST(Trace, SessionLifecycle) {
   EXPECT_NE(Text.find("lifecycle-span"), std::string::npos);
 
   // Outside a session spans are dead on arrival and args cost nothing.
-  SWP_TRACE_SPAN(Dead, "dead-span");
+  trace::Span Dead("dead-span");
   EXPECT_FALSE(Dead.active());
 }
 
@@ -409,7 +408,7 @@ TEST(Trace, SpanArgsInstantsAndCounters) {
   std::string Path = tracePath("swp-trace-args.json");
   ASSERT_TRUE(trace::start(Path));
   {
-    SWP_TRACE_SPAN(S, "unit-span");
+    trace::Span S("unit-span");
     ASSERT_TRUE(S.active());
     S.args("\"ii\": 5, \"label\": \"q\\\"uote\"");
   }
